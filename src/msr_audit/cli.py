@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from msr_audit import __version__
-from msr_audit.corpus import CorpusError, load_corpus, tokenize, tokenize_document, truncate
+from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate
 from msr_audit.gateway import Backend, BackendError, backend_from_spec
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import DEFAULT_SYSTEM_PROMPT, build_transcript, format_transcript, segment
@@ -232,8 +232,8 @@ def cmd_match(args: argparse.Namespace) -> int:
     gen_text = _read_text(args.generated)
     if args.lowercase:
         ref_text, gen_text = ref_text.lower(), gen_text.lower()
-    ref = tuple(t.text for t in tokenize(ref_text))
-    gen = tuple(t.text for t in tokenize(gen_text))
+    ref = tuple(ref_text.split())
+    gen = tuple(gen_text.split())
     matches = maximal_common_substrings(ref, gen)
     counts = frequency_array(matches, args.lmin, args.lmax, exact=args.exact_lengths)
 

@@ -8,14 +8,18 @@ A corpus file is UTF-8 JSON lines, one document per line with required fields
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, replace
 from datetime import date
 from pathlib import Path
 
+import numpy as np
+
 COHORTS = ("pre", "post")
 
-_WORD_RE = re.compile(r"\S+")
+# str.isspace() per code point. All 29 whitespace code points are at or below
+# U+3000, so the last entry (U+3001, not whitespace) stands for every code
+# point above it: lookups clip to it.
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
 class CorpusError(Exception):
@@ -41,36 +45,40 @@ class Document:
             raise CorpusError(f"document {self.id!r}: text must be non-empty")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A word token with its half-open character span into the source text."""
-
-    text: str
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenizedDocument:
-    """Word-token view of a document; spans index into ``text``."""
+    """Word-token view of a document.
+
+    ``tokens`` is a read-only (n, 2) integer array of half-open character
+    spans into ``text``, one row per word, so ``len(tokens)`` is the word
+    count. Equality is identity, as numpy arrays have no single truth value.
+    """
 
     id: str
     cohort: str
     text: str
-    tokens: tuple[Token, ...]
+    tokens: np.ndarray
 
     @property
     def token_texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
+        return tuple(self.text[start:end] for start, end in self.tokens.tolist())
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split ``text`` into maximal runs of non-whitespace characters.
+def tokenize(text: str) -> np.ndarray:
+    """Spans of the maximal runs of non-whitespace characters in ``text``.
 
-    Case is preserved and punctuation stays attached to its word, so matching
-    downstream is strictly verbatim. Empty text yields an empty list.
+    Returns a read-only (n, 2) integer array of half-open [start, end)
+    character offsets, left to right. Whitespace is what ``str.isspace``
+    says, so ``text.split()`` yields exactly the words the spans cover. Case
+    is preserved and punctuation stays attached to its word, so matching
+    downstream is strictly verbatim. Empty text yields shape (0, 2).
     """
-    return [Token(m.group(), m.start(), m.end()) for m in _WORD_RE.finditer(text)]
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    space = np.ones(len(codes) + 2, dtype=bool)
+    _IS_SPACE.take(codes, out=space[1:-1], mode="clip")
+    spans = np.flatnonzero(np.diff(space)).reshape(-1, 2)
+    spans.flags.writeable = False
+    return spans
 
 
 def tokenize_document(doc: Document, lowercase: bool = False) -> TokenizedDocument:
@@ -80,8 +88,8 @@ def tokenize_document(doc: Document, lowercase: bool = False) -> TokenizedDocume
     stay consistent with the stored text.
     """
     text = doc.text.lower() if lowercase else doc.text
-    tokens = tuple(tokenize(text))
-    if not tokens:
+    tokens = tokenize(text)
+    if not len(tokens):
         raise CorpusError(f"document {doc.id!r} contains no word tokens")
     return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokens)
 

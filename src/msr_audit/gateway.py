@@ -298,8 +298,9 @@ class GenerationCache:
     """First-write-wins response cache, optionally persisted as JSON lines.
 
     Each line holds {"key", "output", "backend", "model", "temperature",
-    "created_at"}. Corrupt lines are skipped with a warning. Writes are
-    serialized; lookups may run concurrently.
+    "max_tokens", "seed", "created_at"}; lines without "max_tokens" and
+    "seed" (older files) load with both None. Corrupt lines are skipped with
+    a warning. Writes are serialized; lookups may run concurrently.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -322,7 +323,12 @@ class GenerationCache:
                         request_key=raw["key"],
                         output_text=raw["output"],
                         backend_name=raw["backend"],
-                        params=GenerationParams(model=raw["model"], temperature=raw["temperature"]),
+                        params=GenerationParams(
+                            model=raw["model"],
+                            temperature=raw["temperature"],
+                            max_tokens=raw.get("max_tokens"),
+                            seed=raw.get("seed"),
+                        ),
                         created_at=raw["created_at"],
                     )
                 except (ValueError, KeyError, TypeError) as exc:
@@ -342,13 +348,16 @@ class GenerationCache:
                 return existing
             self._records[record.request_key] = record
             if self.path is not None:
+                params = record.params
                 line = json.dumps(
                     {
                         "key": record.request_key,
                         "output": record.output_text,
                         "backend": record.backend_name,
-                        "model": record.params.model if record.params else "",
-                        "temperature": record.params.temperature if record.params else 0.0,
+                        "model": params.model if params else "",
+                        "temperature": params.temperature if params else 0.0,
+                        "max_tokens": params.max_tokens if params else None,
+                        "seed": params.seed if params else None,
                         "created_at": record.created_at,
                     },
                     ensure_ascii=False,

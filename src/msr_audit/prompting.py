@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from msr_audit.corpus import TokenizedDocument, tokenize
+from msr_audit.corpus import TokenizedDocument
 
 DEFAULT_SYSTEM_PROMPT = "complete the paragraph"
 
@@ -59,7 +59,7 @@ class GeneratedCompletion:
 
     @classmethod
     def from_text(cls, text: str) -> GeneratedCompletion:
-        return cls(text=text, tokens=tuple(t.text for t in tokenize(text)))
+        return cls(text=text, tokens=tuple(text.split()))
 
 
 def segment(doc: TokenizedDocument, n: int) -> Segmentation:
@@ -95,7 +95,7 @@ def render_segment(doc: TokenizedDocument, token_range: tuple[int, int]) -> str:
     start, end = token_range
     if not (0 <= start < end <= len(doc.tokens)):
         raise ValueError(f"token range [{start}, {end}) out of bounds for {len(doc.tokens)} tokens")
-    return doc.text[doc.tokens[start].start : doc.tokens[end - 1].end]
+    return doc.text[doc.tokens[start, 0] : doc.tokens[end - 1, 1]]
 
 
 def build_transcript(
@@ -118,13 +118,15 @@ def build_transcript(
         Turn(role=USER if i % 2 == 0 else ASSISTANT, text=render_segment(doc, bounds))
         for i, bounds in enumerate(seg.bounds[:-1])
     )
-    ref_bounds = seg.bounds[-1]
-    ref_start, ref_end = ref_bounds
+    reference_text = render_segment(doc, seg.bounds[-1])
     return Transcript(
         system_prompt=system_prompt,
         turns=turns,
-        reference_text=render_segment(doc, ref_bounds),
-        reference_tokens=tuple(t.text for t in doc.tokens[ref_start:ref_end]),
+        reference_text=reference_text,
+        # The slice runs from its first token's start to its last token's
+        # end, and tokenize splits where str.split does, so this yields
+        # exactly the reference's tokens.
+        reference_tokens=tuple(reference_text.split()),
     )
 
 

@@ -5,19 +5,26 @@ production code: matches come from a scan over every start pair that extends
 each run by hand, token by token, where the kernel pairs run starts with run
 ends on each diagonal in vectorised numpy; rank statistics are computed with
 exact fractions and the textbook rank-sum formula, and tail probabilities
-come from mpmath / the erfc closed form rather than scipy.
+come from mpmath / the erfc closed form rather than scipy. Token spans come
+from a regex scan rather than a lookup table over code points.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 
 from msr_audit.matching import MaximalMatch
+
+
+def oracle_token_spans(text: str) -> list[tuple[int, int]]:
+    """Half-open spans of the regex ``\\S+`` matches, left to right."""
+    return [m.span() for m in re.finditer(r"\S+", text)]
 
 
 def oracle_maximal_matches(ref: Sequence[str], gen: Sequence[str]) -> list[MaximalMatch]:

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 from datetime import date
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import oracle_token_spans
 
 from msr_audit.corpus import (
     CorpusError,
     Document,
-    Token,
     filter_by_length,
     load_corpus,
     tokenize,
@@ -19,37 +21,79 @@ from msr_audit.corpus import (
 )
 
 
+def _words(text, spans):
+    return [text[start:end] for start, end in spans.tolist()]
+
+
 def test_tokenize_basic_spans():
-    tokens = tokenize("the  cat\tsat\n on the mat.")
-    assert [t.text for t in tokens] == ["the", "cat", "sat", "on", "the", "mat."]
-    assert tokens[0] == Token("the", 0, 3)
-    assert tokens[1] == Token("cat", 5, 8)
+    text = "the  cat\tsat\n on the mat."
+    spans = tokenize(text)
+    assert _words(text, spans) == ["the", "cat", "sat", "on", "the", "mat."]
+    assert spans[0].tolist() == [0, 3]
+    assert spans[1].tolist() == [5, 8]
 
 
 def test_tokenize_empty_and_whitespace_only():
-    assert tokenize("") == []
-    assert tokenize("  \t\n ") == []
+    assert tokenize("").shape == (0, 2)
+    assert tokenize("  \t\n ").shape == (0, 2)
 
 
 def test_tokenize_keeps_punctuation_attached():
-    assert [t.text for t in tokenize("don't stop, (ever)!")] == ["don't", "stop,", "(ever)!"]
+    text = "don't stop, (ever)!"
+    assert _words(text, tokenize(text)) == ["don't", "stop,", "(ever)!"]
 
 
 @given(st.text(max_size=200))
 def test_tokenize_spans_recover_token_text(text):
-    tokens = tokenize(text)
-    for tok in tokens:
-        assert text[tok.start : tok.end] == tok.text
-        assert not any(c.isspace() for c in tok.text)
+    spans = tokenize(text)
+    for word in _words(text, spans):
+        assert word
+        assert not any(c.isspace() for c in word)
     # tokens appear left to right without overlap
-    for left, right in zip(tokens, tokens[1:]):
-        assert left.end <= right.start
+    flat = spans.ravel().tolist()
+    assert flat == sorted(flat)
+    assert _words(text, spans) == text.split()
 
 
 @given(st.text(max_size=200))
 def test_tokenize_is_stable_under_respacing(text):
-    texts = [t.text for t in tokenize(text)]
-    assert [t.text for t in tokenize(" ".join(texts))] == texts
+    words = _words(text, tokenize(text))
+    respaced = " ".join(words)
+    assert _words(respaced, tokenize(respaced)) == words
+
+
+# Every str.isspace() code point, plus what must not count as whitespace:
+# lone surrogates, code points above U+3000, U+FEFF and U+200B.
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_NOT_WHITESPACE = ["a", "Z", "\ud800", "\udfff", "\U0001f600", "\U0010ffff", "\ufeff", "\u200b", "\u3001"]
+
+
+def test_whitespace_alphabet_is_complete():
+    assert len(_WHITESPACE) == 29
+    assert max(map(ord, _WHITESPACE)) == 0x3000
+
+
+@given(st.lists(st.sampled_from(_WHITESPACE + _NOT_WHITESPACE), max_size=60).map("".join))
+def test_tokenize_matches_regex_oracle(text):
+    assert [tuple(span) for span in tokenize(text).tolist()] == oracle_token_spans(text)
+
+
+def test_tokenize_document_memory_and_read_only():
+    rng = random.Random(8000)
+    text = " ".join(f"w{rng.randrange(20_000)}" for _ in range(8000))
+    doc = Document(id="d", cohort="pre", text=text)
+    tracemalloc.start()
+    try:
+        tokenized = tokenize_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokenized.tokens) == 8000
+    assert peak < 1_000_000, f"tokenize_document peaked at {peak} bytes"
+    assert not tokenized.tokens.flags.writeable
+    with pytest.raises(ValueError):
+        tokenized.tokens[0, 0] = 1
+    assert not truncate(tokenized, 10).tokens.flags.writeable
 
 
 def test_document_validation():

@@ -186,13 +186,43 @@ def test_cache_persists_jsonl_round_trip(tmp_path):
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [set(line) for line in lines] == [
-        {"key", "output", "backend", "model", "temperature", "created_at"}
+        {"key", "output", "backend", "model", "temperature", "max_tokens", "seed", "created_at"}
     ] * 2
 
     reloaded = GenerationCache(path)
     assert reloaded.lookup("k1").output_text == "hello"
     assert reloaded.lookup("k2").output_text == "world"
     assert len(reloaded) == 2
+
+
+def test_cache_round_trips_params(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    params = GenerationParams(model="m", temperature=0.7, max_tokens=42, seed=9)
+    record = GenerationRecord(
+        doc_id="d",
+        request_key="k1",
+        output_text="out",
+        backend_name="partial:0.5",
+        params=params,
+        created_at="2026-01-01T00:00:00+00:00",
+    )
+    GenerationCache(path).store(record)
+    assert GenerationCache(path).lookup("k1").params == params
+
+
+def test_cache_loads_lines_without_seed_or_max_tokens(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    old_line = {
+        "key": "k1",
+        "output": "kept",
+        "backend": "verbatim",
+        "model": "mock",
+        "temperature": 0.1,
+        "created_at": "2026-01-01T00:00:00+00:00",
+    }
+    path.write_text(json.dumps(old_line) + "\n", encoding="utf-8")
+    params = GenerationCache(path).lookup("k1").params
+    assert params == GenerationParams(model="mock", temperature=0.1, max_tokens=None, seed=None)
 
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):

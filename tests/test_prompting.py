@@ -122,6 +122,19 @@ def test_reference_tokens_match_final_segment(m, n):
     assert transcript.reference_tokens == doc.token_texts[start:end]
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_reference_tokens_split_on_unicode_whitespace(n):
+    separators = ["\u3000", "\u00a0", "\u2028", " \u3000\t", "\u00a0\u2028"]
+    words = [f"w{i}" for i in range(40)] + ["\ufeffbom", "zero\u200bwidth", "\U0001f600"]
+    body = "\u2028" + "".join(w + separators[i % len(separators)] for i, w in enumerate(words))
+    doc = _doc(0, text=body)
+    assert doc.token_texts == tuple(words)
+    seg = segment(doc, n)
+    start, end = seg.bounds[-1]
+    transcript = build_transcript(doc, seg)
+    assert transcript.reference_tokens == doc.token_texts[start:end]
+
+
 def test_format_transcript_renders_all_parts():
     doc = _doc(12)
     rendered = format_transcript(build_transcript(doc, segment(doc, 4)))
