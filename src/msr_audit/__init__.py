@@ -28,7 +28,6 @@ from msr_audit.gateway import (
     PartialCopyBackend,
     VerbatimBackend,
     backend_from_spec,
-    generate,
     generate_batch,
     request_key,
 )
@@ -55,13 +54,12 @@ from msr_audit.runner import (
     AuditReport,
     DocumentMatchSummary,
     ExperimentConfig,
-    TemperatureSweep,
     emit_report,
+    low_vs_high,
     report_to_dict,
     run_audit,
+    sweep,
     sweep_length,
-    sweep_shots,
-    sweep_temperature,
 )
 from msr_audit.stats import (
     CohortComparison,
@@ -95,7 +93,6 @@ __all__ = [
     "ObliviousBackend",
     "PartialCopyBackend",
     "Segmentation",
-    "TemperatureSweep",
     "TokenizedDocument",
     "Transcript",
     "Turn",
@@ -110,11 +107,11 @@ __all__ = [
     "filter_by_length",
     "format_transcript",
     "frequency_array",
-    "generate",
     "generate_batch",
     "kruskal_wallis",
     "ks_distance",
     "load_corpus",
+    "low_vs_high",
     "longest_common_substring_len",
     "maximal_common_substrings",
     "render_segment",
@@ -123,9 +120,8 @@ __all__ = [
     "run_audit",
     "segment",
     "sum_arrays",
+    "sweep",
     "sweep_length",
-    "sweep_shots",
-    "sweep_temperature",
     "tokenize",
     "tokenize_document",
     "truncate",

@@ -25,14 +25,7 @@ from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, trunca
 from msr_audit.gateway import Backend, BackendError, backend_from_spec
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import DEFAULT_SYSTEM_PROMPT, build_transcript, format_transcript, segment
-from msr_audit.runner import (
-    ExperimentConfig,
-    emit_report,
-    run_audit,
-    sweep_length,
-    sweep_shots,
-    sweep_temperature,
-)
+from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, emit_report, low_vs_high, run_audit, sweep
 from msr_audit.stats import compare_samples
 
 EXIT_OK = 0
@@ -86,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_sweep = sub.add_parser("sweep", help="re-run the audit across one parameter")
-    p_sweep.add_argument("dimension", choices=["shots", "temperature", "length"])
+    p_sweep.add_argument("dimension", choices=list(SWEEP_FIELDS))
     p_sweep.add_argument(
         "--values", required=True, nargs="+", help="comma- or space-separated values to sweep"
     )
@@ -187,18 +180,15 @@ def _parse_values(raw: Sequence[str], cast: Callable) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    corpus = _load_cohorts(args)
-    config = _config_from_args(args)
-    backends = _cohort_backends(args)
-    low_vs_high = None
-    if args.dimension == "shots":
-        results = sweep_shots(corpus, config, _parse_values(args.values, int), backends=backends)
-    elif args.dimension == "length":
-        results = sweep_length(corpus, config, _parse_values(args.values, int), backends=backends)
-    else:
-        sweep = sweep_temperature(corpus, config, _parse_values(args.values, float), backends=backends)
-        results = sweep.reports
-        low_vs_high = sweep.low_vs_high
+    cast = float if args.dimension == "temperature" else int
+    results = sweep(
+        _load_cohorts(args),
+        _config_from_args(args),
+        args.dimension,
+        _parse_values(args.values, cast),
+        backends=_cohort_backends(args),
+    )
+    contrast = low_vs_high(results) if args.dimension == "temperature" else None
 
     out = Path(args.out)
     for value, report in results.items():
@@ -208,8 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         line.update(asdict(report.comparison))
         print(json.dumps(line, sort_keys=True))
         print(f"wrote {paths['summary']}", file=sys.stderr)
-    if low_vs_high is not None:
-        payload = {"low_vs_high": asdict(low_vs_high)}
+    if contrast is not None:
+        payload = {"low_vs_high": asdict(contrast)}
         out.mkdir(parents=True, exist_ok=True)
         contrast_path = out / "low_vs_high.json"
         contrast_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

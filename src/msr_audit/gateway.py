@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from msr_audit.prompting import GeneratedCompletion, Transcript
+from msr_audit.prompting import Transcript
 
 logger = logging.getLogger(__name__)
 
@@ -372,51 +372,6 @@ class GenerationCache:
             return len(self._records)
 
 
-def generate_record(
-    backend: Backend,
-    transcript: Transcript,
-    params: GenerationParams,
-    cache: GenerationCache | None = None,
-    doc_id: str = "",
-) -> GenerationRecord:
-    """Produce one completion record, consulting the cache first.
-
-    Raises BackendError on failure; empty completions are reported and kept
-    (they count as zero-match downstream).
-    """
-    key = request_key(backend, transcript, params)
-    if cache is not None:
-        hit = cache.lookup(key)
-        if hit is not None:
-            return replace(hit, doc_id=doc_id)
-    text = backend.complete(transcript, params)
-    if not text:
-        logger.warning("empty completion for document %r; will count as zero-match", doc_id)
-    record = GenerationRecord(
-        doc_id=doc_id,
-        request_key=key,
-        output_text=text,
-        backend_name=backend.name,
-        params=params,
-        created_at=_utcnow(),
-    )
-    if cache is not None:
-        record = replace(cache.store(record), doc_id=doc_id)
-    return record
-
-
-def generate(
-    backend: Backend,
-    transcript: Transcript,
-    params: GenerationParams,
-    cache: GenerationCache | None = None,
-    doc_id: str = "",
-) -> GeneratedCompletion:
-    """Produce the completion for one transcript."""
-    record = generate_record(backend, transcript, params, cache=cache, doc_id=doc_id)
-    return GeneratedCompletion.from_text(record.output_text)
-
-
 def generate_batch(
     backend: Backend,
     transcripts: Sequence[Transcript],
@@ -428,8 +383,10 @@ def generate_batch(
     """Complete many transcripts with at most ``max_in_flight`` outstanding.
 
     Outputs align index-wise with the inputs regardless of completion order.
-    Per-item failures are captured on the record (``error`` set) and never
-    abort the batch; cached entries are not re-requested.
+    Cached entries are not re-requested, and a cache hit carries the caller's
+    doc id. Per-item failures are captured on the record (``error`` set),
+    never cached, and never abort the batch. Empty completions are logged and
+    kept (they count as zero-match downstream).
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
@@ -440,19 +397,32 @@ def generate_batch(
     def one(index: int) -> GenerationRecord:
         transcript = transcripts[index]
         doc_id = ids[index]
+        key = request_key(backend, transcript, params)
+        if cache is not None:
+            hit = cache.lookup(key)
+            if hit is not None:
+                return replace(hit, doc_id=doc_id)
+        error = None
         try:
-            return generate_record(backend, transcript, params, cache=cache, doc_id=doc_id)
+            text = backend.complete(transcript, params)
         except BackendError as exc:
             logger.warning("generation failed for document %r: %s", doc_id, exc)
-            return GenerationRecord(
-                doc_id=doc_id,
-                request_key=request_key(backend, transcript, params),
-                output_text="",
-                backend_name=backend.name,
-                params=params,
-                created_at=_utcnow(),
-                error=str(exc),
-            )
+            text, error = "", str(exc)
+        else:
+            if not text:
+                logger.warning("empty completion for document %r; will count as zero-match", doc_id)
+        record = GenerationRecord(
+            doc_id=doc_id,
+            request_key=key,
+            output_text=text,
+            backend_name=backend.name,
+            params=params,
+            created_at=_utcnow(),
+            error=error,
+        )
+        if cache is not None and error is None:
+            record = replace(cache.store(record), doc_id=doc_id)
+        return record
 
     if not transcripts:
         return []

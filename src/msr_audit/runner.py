@@ -152,18 +152,18 @@ def _resolve_backends(
     return mapping
 
 
-def run_audit(
-    corpus: Sequence[Document],
-    config: ExperimentConfig,
-    backends: Backend | Mapping[str, Backend] | None = None,
-) -> AuditReport:
-    """Run the full audit and compare the pre and post cohorts.
+def _eligible(corpus: Sequence[Document], config: ExperimentConfig) -> list[TokenizedDocument]:
+    """Tokenize every document and drop those at or below ``min_words``."""
+    tokenized = [tokenize_document(doc, lowercase=config.lowercase) for doc in corpus]
+    return filter_by_length(tokenized, config.min_words)
 
-    Per-document failures (too short to segment, generation errors) are
-    counted and skipped; an entire cohort coming up empty is an error.
-    """
-    config.validate()
-    backend_map = _resolve_backends(config, backends)
+
+def _audit(
+    eligible: Sequence[TokenizedDocument],
+    config: ExperimentConfig,
+    backend_map: Mapping[str, Backend],
+) -> AuditReport:
+    """Truncate, segment, generate, score and compare already-tokenized documents."""
     params = GenerationParams(
         model=config.model,
         temperature=config.temperature,
@@ -173,8 +173,6 @@ def run_audit(
     cache = GenerationCache(config.cache_path)
     failures = 0
 
-    tokenized = [tokenize_document(doc, lowercase=config.lowercase) for doc in corpus]
-    eligible = filter_by_length(tokenized, config.min_words)
     if config.truncate_words is not None:
         eligible = [truncate(doc, config.truncate_words) for doc in eligible]
 
@@ -254,56 +252,53 @@ def run_audit(
     )
 
 
-def sweep_shots(
+def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
-    shot_values: Iterable[int],
     backends: Backend | Mapping[str, Backend] | None = None,
-) -> dict[int, AuditReport]:
-    """Re-run the audit at each shot count. All values are validated before
-    any run starts, so a bad value cannot waste earlier runs."""
-    values = list(shot_values)
-    if not values:
-        raise ValueError("shot sweep needs at least one value")
-    configs = {value: replace(config, shots=value) for value in values}
-    for candidate in configs.values():
-        candidate.validate()
-    return {value: run_audit(corpus, configs[value], backends=backends) for value in values}
+) -> AuditReport:
+    """Run the full audit and compare the pre and post cohorts.
+
+    Per-document failures (too short to segment, generation errors) are
+    counted and skipped; an entire cohort coming up empty is an error.
+    """
+    config.validate()
+    backend_map = _resolve_backends(config, backends)
+    return _audit(_eligible(corpus, config), config, backend_map)
 
 
-@dataclass(frozen=True)
-class TemperatureSweep:
-    """Per-temperature reports, plus a low-versus-high contrast when exactly
-    two temperatures were swept (positive delta: cooler run matches more)."""
-
-    reports: dict[float, AuditReport]
-    low_vs_high: CohortComparison | None
+# Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
+SWEEP_FIELDS = {"shots": "shots", "temperature": "temperature", "length": "truncate_words"}
 
 
-def _total_counts(report: AuditReport) -> tuple[int, ...]:
-    return sum_arrays([report.f_pre, report.f_post]).counts
-
-
-def sweep_temperature(
+def sweep(
     corpus: Sequence[Document],
     config: ExperimentConfig,
-    temperatures: Iterable[float],
+    dimension: str,
+    values: Iterable[int | float],
     backends: Backend | Mapping[str, Backend] | None = None,
-) -> TemperatureSweep:
-    values = list(temperatures)
+) -> dict[int | float, AuditReport]:
+    """Re-run the audit at each value of one config field.
+
+    ``dimension`` is ``"shots"``, ``"temperature"`` or ``"length"`` (the
+    truncation length). Values must be distinct, and all of them are validated
+    before any request is sent, so a bad value cannot waste earlier runs. The
+    corpus is tokenized and the backends are built once for the whole sweep;
+    each value still gets its own completion cache.
+    """
+    if dimension not in SWEEP_FIELDS:
+        raise ValueError(f"unknown sweep dimension {dimension!r}; expected one of {sorted(SWEEP_FIELDS)}")
+    values = list(values)
     if not values:
-        raise ValueError("temperature sweep needs at least one value")
+        raise ValueError(f"{dimension} sweep needs at least one value")
     if len(set(values)) != len(values):
-        raise ValueError("temperature sweep values must be distinct")
-    configs = {value: replace(config, temperature=value) for value in values}
+        raise ValueError(f"{dimension} sweep values must be distinct, got {values}")
+    configs = {value: replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values}
     for candidate in configs.values():
         candidate.validate()
-    reports = {value: run_audit(corpus, configs[value], backends=backends) for value in values}
-    low_vs_high = None
-    if len(values) == 2:
-        low, high = sorted(values)
-        low_vs_high = compare_samples(_total_counts(reports[low]), _total_counts(reports[high]))
-    return TemperatureSweep(reports=reports, low_vs_high=low_vs_high)
+    backend_map = _resolve_backends(config, backends)
+    eligible = _eligible(corpus, config)
+    return {value: _audit(eligible, configs[value], backend_map) for value in values}
 
 
 def sweep_length(
@@ -313,13 +308,20 @@ def sweep_length(
     backends: Backend | Mapping[str, Backend] | None = None,
 ) -> dict[int, AuditReport]:
     """Re-run the audit with every document truncated to each length."""
-    values = list(lengths)
-    if not values:
-        raise ValueError("length sweep needs at least one value")
-    configs = {value: replace(config, truncate_words=value) for value in values}
-    for candidate in configs.values():
-        candidate.validate()
-    return {value: run_audit(corpus, configs[value], backends=backends) for value in values}
+    return sweep(corpus, config, "length", lengths, backends=backends)
+
+
+def _total_counts(report: AuditReport) -> tuple[int, ...]:
+    return sum_arrays([report.f_pre, report.f_post]).counts
+
+
+def low_vs_high(reports: Mapping[float, AuditReport]) -> CohortComparison | None:
+    """Contrast of a two-temperature sweep (positive delta: the cooler run
+    matches more); None unless exactly two temperatures were swept."""
+    if len(reports) != 2:
+        return None
+    low, high = sorted(reports)
+    return compare_samples(_total_counts(reports[low]), _total_counts(reports[high]))
 
 
 def report_to_dict(report: AuditReport) -> dict:

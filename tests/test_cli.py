@@ -150,6 +150,15 @@ def test_sweep_length_bad_value_exit_1(corpus_files, tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_duplicate_values_exit_1(corpus_files, tmp_path, capsys):
+    pre, post = corpus_files
+    out = tmp_path / "s"
+    code = main(["sweep", "shots", "--values", "4,4"] + _audit_args(pre, post, out)[1:])
+    assert code == 1
+    assert "distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_non_numeric_values_exit_1(corpus_files, tmp_path):
     pre, post = corpus_files
     code = main(["sweep", "shots", "--values", "four"] + _audit_args(pre, post, tmp_path / "s")[1:])

@@ -19,15 +19,13 @@ from msr_audit.gateway import (
     PartialCopyBackend,
     VerbatimBackend,
     backend_from_spec,
-    generate,
     generate_batch,
-    generate_record,
     request_key,
     resolve_max_tokens,
     transcript_messages,
 )
 from msr_audit.matching import maximal_common_substrings
-from msr_audit.prompting import build_transcript, segment
+from msr_audit.prompting import GeneratedCompletion, build_transcript, segment
 
 
 def _transcript(n_words=60, shots=6, tag="w"):
@@ -272,7 +270,8 @@ def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
 
 def test_generate_returns_tokenized_completion():
     transcript = _transcript()
-    completion = generate(VerbatimBackend(), transcript, GenerationParams())
+    [record] = generate_batch(VerbatimBackend(), [transcript], GenerationParams())
+    completion = GeneratedCompletion.from_text(record.output_text)
     assert completion.text == transcript.reference_text
     assert completion.tokens == transcript.reference_tokens
 
@@ -282,10 +281,10 @@ def test_generate_uses_cache():
     backend = CountingBackend(VerbatimBackend())
     cache = GenerationCache()
     params = GenerationParams()
-    generate(backend, transcript, params, cache=cache)
-    generate(backend, transcript, params, cache=cache)
+    generate_batch(backend, [transcript], params, cache=cache)
+    generate_batch(backend, [transcript], params, cache=cache)
     assert backend.calls == 1
-    generate(backend, transcript, params)  # no cache: hits the backend again
+    generate_batch(backend, [transcript], params)  # no cache: hits the backend again
     assert backend.calls == 2
 
 
@@ -295,19 +294,45 @@ def test_generate_warns_on_empty_completion(caplog):
             return ""
 
     with caplog.at_level(logging.WARNING):
-        completion = generate(EmptyBackend(), _transcript(), GenerationParams(), doc_id="doc-w")
+        [record] = generate_batch(EmptyBackend(), [_transcript()], GenerationParams(), doc_ids=["doc-w"])
+    completion = GeneratedCompletion.from_text(record.output_text)
     assert completion.text == "" and completion.tokens == ()
     assert any("empty completion" in r.message for r in caplog.records)
 
 
-def test_generate_record_carries_doc_id_on_cache_hit():
+def test_generate_batch_carries_doc_id_on_cache_hit():
     transcript = _transcript()
     cache = GenerationCache()
     params = GenerationParams()
-    generate_record(VerbatimBackend(), transcript, params, cache=cache, doc_id="first")
-    hit = generate_record(VerbatimBackend(), transcript, params, cache=cache, doc_id="second")
+    generate_batch(VerbatimBackend(), [transcript], params, cache=cache, doc_ids=["first"])
+    [hit] = generate_batch(VerbatimBackend(), [transcript], params, cache=cache, doc_ids=["second"])
     assert hit.doc_id == "second"
     assert hit.output_text == transcript.reference_text
+
+
+def test_generate_batch_never_caches_failures():
+    transcript = _transcript(tag="bad")
+    cache = GenerationCache()
+    params = GenerationParams()
+    [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
+    assert not failed.ok and len(cache) == 0
+    assert failed.request_key == request_key(VerbatimBackend(), transcript, params)
+    backend = CountingBackend(VerbatimBackend())
+    [retried] = generate_batch(backend, [transcript], params, cache=cache)
+    assert retried.ok and backend.calls == 1
+
+
+def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
+    import msr_audit.gateway as gateway
+
+    calls = []
+    original = gateway.request_key
+    monkeypatch.setattr(gateway, "request_key", lambda *args: calls.append(1) or original(*args))
+    transcripts = [_transcript(tag="ok"), _transcript(tag="bad")]
+    backend = FailingBackend(VerbatimBackend(), marker="bad")
+    records = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache())
+    assert [r.ok for r in records] == [True, False]
+    assert len(calls) == 2
 
 
 def test_generate_batch_alignment_and_doc_ids():
@@ -343,8 +368,7 @@ def test_generate_batch_skips_cached_entries():
     transcripts = [_transcript(tag=f"t{i}") for i in range(10)]
     params = GenerationParams()
     cache = GenerationCache()
-    for transcript in transcripts[:4]:
-        generate(VerbatimBackend(), transcript, params, cache=cache)
+    generate_batch(VerbatimBackend(), transcripts[:4], params, cache=cache)
 
     backend = CountingBackend(VerbatimBackend())
     records = generate_batch(backend, transcripts, params, cache=cache)

@@ -14,10 +14,10 @@ from msr_audit.runner import (
     ExperimentConfig,
     emit_report,
     report_to_dict,
+    low_vs_high,
     run_audit,
+    sweep,
     sweep_length,
-    sweep_shots,
-    sweep_temperature,
 )
 from msr_audit.stats import CohortComparison
 
@@ -194,7 +194,7 @@ def test_run_audit_exact_length_mode(small_corpus, small_config):
 
 
 def test_sweep_shots(small_corpus, small_config):
-    reports = sweep_shots(small_corpus, small_config, [2, 4, 6], backends=SPLIT)
+    reports = sweep(small_corpus, small_config, "shots", [2, 4, 6], backends=SPLIT)
     assert sorted(reports) == [2, 4, 6]
     for shots, report in reports.items():
         assert report.config.shots == shots
@@ -205,29 +205,81 @@ def test_sweep_shots(small_corpus, small_config):
 def test_sweep_shots_rejects_bad_values_before_running(small_corpus, small_config):
     counting = CountingBackend(VerbatimBackend())
     with pytest.raises(ValueError):
-        sweep_shots(small_corpus, small_config, [4, 3], backends=counting)
+        sweep(small_corpus, small_config, "shots", [4, 3], backends=counting)
     assert counting.calls == 0
     with pytest.raises(ValueError):
-        sweep_shots(small_corpus, small_config, [], backends=counting)
+        sweep(small_corpus, small_config, "shots", [], backends=counting)
 
 
 def test_sweep_temperature_two_values_adds_contrast(small_corpus, small_config):
-    sweep = sweep_temperature(small_corpus, small_config, [0.1, 0.7], backends=SPLIT)
-    assert sorted(sweep.reports) == [0.1, 0.7]
-    assert isinstance(sweep.low_vs_high, CohortComparison)
+    reports = sweep(small_corpus, small_config, "temperature", [0.1, 0.7], backends=SPLIT)
+    assert sorted(reports) == [0.1, 0.7]
+    contrast = low_vs_high(reports)
+    assert isinstance(contrast, CohortComparison)
     # mock backends ignore temperature, so low and high runs tie exactly
-    assert sweep.low_vs_high.delta == 0.0
+    assert contrast.delta == 0.0
 
 
 def test_sweep_temperature_other_counts_have_no_contrast(small_corpus, small_config):
-    assert sweep_temperature(small_corpus, small_config, [0.1], backends=SPLIT).low_vs_high is None
-    three = sweep_temperature(small_corpus, small_config, [0.0, 0.5, 1.0], backends=SPLIT)
-    assert three.low_vs_high is None and len(three.reports) == 3
+    assert low_vs_high(sweep(small_corpus, small_config, "temperature", [0.1], backends=SPLIT)) is None
+    three = sweep(small_corpus, small_config, "temperature", [0.0, 0.5, 1.0], backends=SPLIT)
+    assert low_vs_high(three) is None and len(three) == 3
 
 
 def test_sweep_temperature_rejects_duplicates(small_corpus, small_config):
     with pytest.raises(ValueError, match="distinct"):
-        sweep_temperature(small_corpus, small_config, [0.1, 0.1], backends=SPLIT)
+        sweep(small_corpus, small_config, "temperature", [0.1, 0.1], backends=SPLIT)
+
+
+@pytest.mark.parametrize(
+    "dimension, values",
+    [("shots", [4, 4]), ("temperature", [0.1, 0.7, 0.1]), ("length", [60, 90, 60])],
+)
+def test_sweep_rejects_duplicate_values_before_running(small_corpus, small_config, dimension, values):
+    counting = CountingBackend(VerbatimBackend())
+    with pytest.raises(ValueError, match="distinct"):
+        sweep(small_corpus, small_config, dimension, values, backends=counting)
+    assert counting.calls == 0
+
+
+def test_sweep_rejects_unknown_dimension(small_corpus, small_config):
+    with pytest.raises(ValueError, match="dimension"):
+        sweep(small_corpus, small_config, "min_words", [10], backends=SPLIT)
+
+
+@pytest.mark.parametrize(
+    "dimension, field, values",
+    [
+        ("shots", "shots", [2, 4, 6]),
+        ("temperature", "temperature", [0.0, 0.7]),
+        ("length", "truncate_words", [60, 90, 120]),
+    ],
+)
+def test_sweep_reports_equal_run_audit(small_corpus, small_config, dimension, field, values):
+    backends = {"pre": PartialCopyBackend(0.5), "post": FailingBackend(PartialCopyBackend(0.2), "q0w")}
+    reports = sweep(small_corpus, small_config, dimension, values, backends=backends)
+    assert list(reports) == values
+    for value, report in reports.items():
+        expected = run_audit(small_corpus, replace(small_config, **{field: value}), backends=backends)
+        assert report.config == expected.config
+        assert report.f_pre == expected.f_pre
+        assert report.f_post == expected.f_post
+        assert report.comparison == expected.comparison
+        assert report.documents == expected.documents
+        assert report.failures == expected.failures
+        assert (report.n_docs_pre, report.n_docs_post) == (expected.n_docs_pre, expected.n_docs_post)
+        assert report.failures == 1  # post-0 fails at every value
+
+
+def test_sweep_tokenizes_each_document_once(small_corpus, small_config, monkeypatch):
+    import msr_audit.runner as runner
+
+    calls = []
+    original = runner.tokenize_document
+    monkeypatch.setattr(runner, "tokenize_document", lambda doc, **kw: calls.append(doc.id) or original(doc, **kw))
+    reports = sweep(small_corpus, small_config, "length", [60, 90, 120], backends=SPLIT)
+    assert len(reports) == 3
+    assert sorted(calls) == sorted(doc.id for doc in small_corpus)
 
 
 def test_sweep_length(small_corpus, small_config):
