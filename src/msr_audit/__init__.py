@@ -33,7 +33,6 @@ from msr_audit.gateway import (
 )
 from msr_audit.matching import (
     FrequencyArray,
-    MaximalMatch,
     frequency_array,
     longest_common_substring_len,
     maximal_common_substrings,
@@ -89,7 +88,6 @@ __all__ = [
     "GenerationParams",
     "GenerationRecord",
     "LiveBackend",
-    "MaximalMatch",
     "ObliviousBackend",
     "PartialCopyBackend",
     "Segmentation",

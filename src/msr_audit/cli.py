@@ -192,8 +192,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     for value, report in results.items():
-        label = f"{value:g}" if isinstance(value, float) else str(value)
-        paths = emit_report(report, out / f"{args.dimension}_{label}")
+        # str() round-trips, so distinct values never share a directory.
+        paths = emit_report(report, out / f"{args.dimension}_{value}")
         line = {"value": value}
         line.update(asdict(report.comparison))
         print(json.dumps(line, sort_keys=True))
@@ -225,13 +225,13 @@ def cmd_match(args: argparse.Namespace) -> int:
     ref = tuple(ref_text.split())
     gen = tuple(gen_text.split())
     matches = maximal_common_substrings(ref, gen)
-    counts = frequency_array(matches, args.lmin, args.lmax, exact=args.exact_lengths)
+    lengths = matches[:, 0]
+    counts = frequency_array(lengths, args.lmin, args.lmax, exact=args.exact_lengths)
 
-    longest = max((m.length for m in matches), default=0)
-    print(f"longest={longest} matches={len(matches)}")
+    print(f"longest={lengths.max(initial=0)} matches={len(matches)}")
     print("length,pos_ref,pos_gen")
-    for match in matches:
-        print(f"{match.length},{match.pos_ref},{match.pos_gen}")
+    for length, pos_ref, pos_gen in matches.tolist():
+        print(f"{length},{pos_ref},{pos_gen}")
     print()
     print("k,count")
     for offset, k in enumerate(range(counts.l_min, counts.l_max + 1)):

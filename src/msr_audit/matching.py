@@ -5,21 +5,9 @@ frequency arrays comparing a reference segment with a generated completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
-
-
-class MaximalMatch(NamedTuple):
-    """A shared contiguous token run extendable in neither direction.
-
-    ``pos_ref``/``pos_gen`` are the start token indices of the run in the
-    reference and generated sequences; ``length`` is the run length in words.
-    """
-
-    length: int
-    pos_ref: int
-    pos_gen: int
 
 
 @dataclass(frozen=True)
@@ -59,14 +47,21 @@ def _diagonal_order(i: np.ndarray, j: np.ndarray, n_ref: int) -> np.ndarray:
     return np.argsort((j.astype(np.int64) - i) * n_ref + i)
 
 
-def maximal_common_substrings(
-    ref_tokens: Sequence[str], gen_tokens: Sequence[str]
-) -> list[MaximalMatch]:
-    """Enumerate every maximal common token run between two sequences.
+def _matches(lengths: np.ndarray, start_i: np.ndarray, start_j: np.ndarray) -> np.ndarray:
+    matches = np.stack((lengths, start_i, start_j), axis=1)
+    matches.flags.writeable = False
+    return matches
+
+
+def maximal_common_substrings(ref_tokens: Sequence[str], gen_tokens: Sequence[str]) -> np.ndarray:
+    """Every maximal common token run between two sequences, as one array.
 
     A run is maximal when it cannot be extended left or right at its pair of
-    positions. Each distinct (pos_ref, pos_gen) start appears exactly once.
-    Results are sorted by (pos_ref, pos_gen).
+    positions. The result is a read-only (k, 3) int32 array with one row
+    ``(length, pos_ref, pos_gen)`` per run: its length in words and its start
+    token indices in the reference and generated sequences. Each distinct
+    (pos_ref, pos_gen) start appears exactly once, and rows are sorted by
+    (pos_ref, pos_gen). No common token gives shape (0, 3).
 
     Works on the sparse set of equal-token pairs instead of the full n x m
     equality matrix (n = len(ref), m = len(gen)). A sort-join of the
@@ -86,8 +81,9 @@ def maximal_common_substrings(
     where a dense DP table needs about 29 MB.
     """
     n_ref, n_gen = len(ref_tokens), len(gen_tokens)
+    none = np.empty(0, dtype=np.int32)
     if n_ref == 0 or n_gen == 0:
-        return []
+        return _matches(none, none, none)
     a, b = _intern(ref_tokens, gen_tokens)
 
     # Sort-join: each ref position i meets the gen positions of its token,
@@ -99,7 +95,7 @@ def maximal_common_substrings(
     counts = hi - lo
     n_pairs = int(counts.sum())
     if n_pairs == 0:
-        return []
+        return _matches(none, none, none)
     pair_i = np.repeat(np.arange(n_ref, dtype=np.int32), counts)
     # i's pairs take the slots lo[i] .. hi[i] - 1 of sorted_b, one after the
     # other: a running sum of int32 steps that jumps at each i's first pair.
@@ -127,45 +123,38 @@ def maximal_common_substrings(
         end_i[_diagonal_order(end_i, end_j, n_ref)] - start_i[by_diag_start] + 1
     )
 
-    return list(map(MaximalMatch._make, zip(lengths.tolist(), start_i.tolist(), start_j.tolist())))
+    return _matches(lengths, start_i, start_j)
 
 
 def longest_common_substring_len(ref_tokens: Sequence[str], gen_tokens: Sequence[str]) -> int:
     """Length in words of the longest contiguous run present in both sequences."""
-    return max((m.length for m in maximal_common_substrings(ref_tokens, gen_tokens)), default=0)
+    return int(maximal_common_substrings(ref_tokens, gen_tokens)[:, 0].max(initial=0))
 
 
 def frequency_array(
-    matches: Iterable[MaximalMatch],
+    lengths: Sequence[int] | np.ndarray,
     l_min: int,
     l_max: int,
     exact: bool = False,
 ) -> FrequencyArray:
-    """Count matches per length threshold k in [l_min, l_max].
+    """Count match lengths per threshold k in [l_min, l_max].
 
-    By default counts[k - l_min] is the number of matches of length >= k.
-    With ``exact=True`` it counts matches of length exactly k instead (the
-    resulting array is then not necessarily non-increasing).
+    ``lengths`` holds one non-negative length per match, such as column 0 of
+    ``maximal_common_substrings``. By default counts[k - l_min] is the number
+    of matches of length >= k. With ``exact=True`` it counts matches of
+    length exactly k instead (the resulting array is then not necessarily
+    non-increasing). Lengths below ``l_min`` are never counted.
     """
     if l_min < 1 or l_min > l_max:
         raise ValueError(f"need 1 <= l_min <= l_max, got l_min={l_min}, l_max={l_max}")
-    width = l_max - l_min + 1
-    exact_counts = [0] * width
-    at_least_max = 0
-    for m in matches:
-        if m.length >= l_max:
-            at_least_max += 1
-            if m.length == l_max:
-                exact_counts[-1] += 1
-        elif m.length >= l_min:
-            exact_counts[m.length - l_min] += 1
+    lengths = np.asarray(lengths, dtype=np.intp)
     if exact:
-        return FrequencyArray(l_min=l_min, l_max=l_max, counts=tuple(exact_counts))
-    counts = [0] * width
-    counts[-1] = at_least_max
-    for i in range(width - 2, -1, -1):
-        counts[i] = counts[i + 1] + exact_counts[i]
-    return FrequencyArray(l_min=l_min, l_max=l_max, counts=tuple(counts))
+        counts = np.bincount(lengths[lengths <= l_max], minlength=l_max + 1)[l_min:]
+    else:
+        # Clipping at l_max puts every longer match in the last bin; the
+        # reversed running sum then counts the matches at or above each k.
+        counts = np.bincount(np.minimum(lengths, l_max), minlength=l_max + 1)[::-1].cumsum()[::-1][l_min:]
+    return FrequencyArray(l_min=l_min, l_max=l_max, counts=tuple(counts.tolist()))
 
 
 def sum_arrays(arrays: Sequence[FrequencyArray]) -> FrequencyArray:

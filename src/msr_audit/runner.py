@@ -212,8 +212,9 @@ def _audit(
             text = record.output_text.lower() if config.lowercase else record.output_text
             completion = GeneratedCompletion.from_text(text)
             matches = maximal_common_substrings(transcript.reference_tokens, completion.tokens)
+            lengths = matches[:, 0]
             counts = frequency_array(
-                matches, config.l_min, config.resolved_l_max, exact=config.exact_lengths
+                lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths
             )
             ordered.append(
                 (
@@ -221,7 +222,7 @@ def _audit(
                     DocumentMatchSummary(
                         doc_id=doc.id,
                         cohort=cohort,
-                        longest_match=max((m.length for m in matches), default=0),
+                        longest_match=int(lengths.max(initial=0)),
                         counts=counts,
                     ),
                 )

@@ -15,11 +15,21 @@ import bisect
 import math
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import mpmath
 
-from msr_audit.matching import MaximalMatch
+
+class MaximalMatch(NamedTuple):
+    """A shared contiguous token run extendable in neither direction.
+
+    ``pos_ref``/``pos_gen`` are the start token indices of the run in the
+    reference and generated sequences; ``length`` is the run length in words.
+    """
+
+    length: int
+    pos_ref: int
+    pos_gen: int
 
 
 def oracle_token_spans(text: str) -> list[tuple[int, int]]:
@@ -42,6 +52,21 @@ def oracle_maximal_matches(ref: Sequence[str], gen: Sequence[str]) -> list[Maxim
             out.append(MaximalMatch(length=k, pos_ref=i, pos_gen=j))
     out.sort(key=lambda m: (m.pos_ref, m.pos_gen))
     return out
+
+
+def oracle_rows(ref: Sequence[str], gen: Sequence[str]) -> list[list[int]]:
+    """The oracle's matches as ``[length, pos_ref, pos_gen]`` rows, the form
+    ``maximal_common_substrings(...).tolist()`` takes."""
+    return [list(m) for m in oracle_maximal_matches(ref, gen)]
+
+
+def oracle_frequency_counts(
+    lengths: Sequence[int], l_min: int, l_max: int, exact: bool = False
+) -> tuple[int, ...]:
+    """Per k in [l_min, l_max], how many lengths equal k (``exact``) or reach it."""
+    if exact:
+        return tuple(sum(1 for n in lengths if n == k) for k in range(l_min, l_max + 1))
+    return tuple(sum(1 for n in lengths if n >= k) for k in range(l_min, l_max + 1))
 
 
 def oracle_cliffs_delta(x: Sequence[float], y: Sequence[float]) -> Fraction:

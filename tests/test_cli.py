@@ -159,6 +159,17 @@ def test_sweep_duplicate_values_exit_1(corpus_files, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_close_temperatures_get_distinct_report_dirs(corpus_files, tmp_path):
+    pre, post = corpus_files
+    out = tmp_path / "s"
+    code = main(["sweep", "temperature", "--values", "0.1,0.1000001"] + _audit_args(pre, post, out)[1:])
+    assert code == 0
+    assert sorted(path.name for path in out.iterdir() if path.is_dir()) == [
+        "temperature_0.1",
+        "temperature_0.1000001",
+    ]
+
+
 def test_sweep_non_numeric_values_exit_1(corpus_files, tmp_path):
     pre, post = corpus_files
     code = main(["sweep", "shots", "--values", "four"] + _audit_args(pre, post, tmp_path / "s")[1:])
@@ -175,6 +186,75 @@ def test_match_command(tmp_path, capsys):
     assert "longest=3 matches=4" in out
     assert "3,3,2" in out  # "on the mat"
     assert "k,count" in out
+
+
+_MATCH_REF = (
+    "the quick brown fox jumps over the lazy dog and then the quick brown fox "
+    "runs away from the lazy dog while the cat sleeps\n"
+)
+_MATCH_GEN = (
+    "a quick brown fox jumps over the lazy dog but then the quick brown fox "
+    "runs far away from the lazy dog while the cat sleeps soundly\n"
+)
+_MATCH_ROWS = (
+    "longest=9 matches=20\n"
+    "length,pos_ref,pos_gen\n"
+    "1,0,6\n"
+    "4,0,11\n"
+    "1,0,19\n"
+    "1,0,23\n"
+    "8,1,1\n"
+    "1,6,11\n"
+    "3,6,19\n"
+    "1,6,23\n"
+    "6,10,10\n"
+    "1,11,6\n"
+    "1,11,19\n"
+    "1,11,23\n"
+    "3,12,1\n"
+    "9,16,17\n"
+    "3,18,6\n"
+    "1,18,11\n"
+    "1,18,23\n"
+    "1,22,6\n"
+    "1,22,11\n"
+    "1,22,19\n"
+    "\n"
+)
+_MATCH_COUNTS = {
+    (): (
+    "k,count\n"
+    "5,3\n"
+    "6,3\n"
+    "7,2\n"
+    "8,2\n"
+    "9,1\n"
+    "10,0\n"
+    "11,0\n"
+    "12,0\n"
+    ),
+    ("--exact-lengths",): (
+    "k,count\n"
+    "5,0\n"
+    "6,1\n"
+    "7,0\n"
+    "8,1\n"
+    "9,1\n"
+    "10,0\n"
+    "11,0\n"
+    "12,0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", list(_MATCH_COUNTS), ids=["threshold", "exact-lengths"])
+def test_match_output_is_byte_stable(tmp_path, capsys, extra):
+    ref = tmp_path / "ref.txt"
+    gen = tmp_path / "gen.txt"
+    ref.write_text(_MATCH_REF, encoding="utf-8")
+    gen.write_text(_MATCH_GEN, encoding="utf-8")
+    assert main(["match", str(ref), str(gen), *extra]) == 0
+    assert capsys.readouterr().out == _MATCH_ROWS + _MATCH_COUNTS[extra]
 
 
 def test_match_missing_file_exit_2(tmp_path):

@@ -95,7 +95,7 @@ def test_oblivious_backend_shares_no_tokens():
     gen_tokens = out.split()
     assert len(gen_tokens) == len(transcript.reference_tokens)
     assert not set(gen_tokens) & set(transcript.reference_tokens)
-    assert maximal_common_substrings(transcript.reference_tokens, gen_tokens) == []
+    assert maximal_common_substrings(transcript.reference_tokens, gen_tokens).tolist() == []
 
 
 def test_oblivious_backend_is_deterministic_per_seed():
@@ -127,8 +127,8 @@ def test_partial_copy_p1_yields_isolated_chunk_matches():
     transcript = _transcript(120, 6)  # 20-token reference, chunks of 8: [8, 8, 4]
     out = PartialCopyBackend(1.0, chunk_words=8).complete(transcript, GenerationParams())
     matches = maximal_common_substrings(transcript.reference_tokens, out.split())
-    assert [m.length for m in matches] == [8, 8, 4]
-    assert [m.pos_ref for m in matches] == [0, 8, 16]
+    assert matches[:, 0].tolist() == [8, 8, 4]
+    assert matches[:, 1].tolist() == [0, 8, 16]
 
 
 def test_partial_copy_fraction_tracks_p():

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_maximal_matches
+from oracles import oracle_frequency_counts, oracle_rows
 from msr_audit.matching import (
     FrequencyArray,
-    MaximalMatch,
     frequency_array,
     longest_common_substring_len,
     maximal_common_substrings,
@@ -23,39 +25,40 @@ token_lists = st.lists(st.sampled_from("abc"), max_size=14)
 def test_known_matches_small_example():
     ref = "the cat sat on the mat".split()
     gen = "the cat on the mat".split()
-    assert maximal_common_substrings(ref, gen) == [
-        MaximalMatch(length=2, pos_ref=0, pos_gen=0),  # "the cat"
-        MaximalMatch(length=1, pos_ref=0, pos_gen=3),  # lone "the"
-        MaximalMatch(length=3, pos_ref=3, pos_gen=2),  # "on the mat"
-        MaximalMatch(length=1, pos_ref=4, pos_gen=0),  # lone "the"
+    # rows are [length, pos_ref, pos_gen]
+    assert maximal_common_substrings(ref, gen).tolist() == [
+        [2, 0, 0],  # "the cat"
+        [1, 0, 3],  # lone "the"
+        [3, 3, 2],  # "on the mat"
+        [1, 4, 0],  # lone "the"
     ]
 
 
 def test_inserted_word_splits_a_match():
-    assert maximal_common_substrings("a b c d".split(), "a b x c d".split()) == [
-        MaximalMatch(2, 0, 0),
-        MaximalMatch(2, 2, 3),
+    assert maximal_common_substrings("a b c d".split(), "a b x c d".split()).tolist() == [
+        [2, 0, 0],
+        [2, 2, 3],
     ]
 
 
 def test_identical_distinct_sequences_single_match():
     tokens = [f"w{i}" for i in range(30)]
-    assert maximal_common_substrings(tokens, tokens) == [MaximalMatch(30, 0, 0)]
+    assert maximal_common_substrings(tokens, tokens).tolist() == [[30, 0, 0]]
 
 
 def test_disjoint_sequences_no_matches():
-    assert maximal_common_substrings(["a", "b"], ["c", "d"]) == []
+    assert maximal_common_substrings(["a", "b"], ["c", "d"]).tolist() == []
 
 
 def test_empty_inputs():
-    assert maximal_common_substrings([], ["a"]) == []
-    assert maximal_common_substrings(["a"], []) == []
-    assert maximal_common_substrings([], []) == []
+    assert maximal_common_substrings([], ["a"]).tolist() == []
+    assert maximal_common_substrings(["a"], []).tolist() == []
+    assert maximal_common_substrings([], []).tolist() == []
 
 
 def test_repeated_token_yields_every_occurrence_pair():
     matches = maximal_common_substrings(["x", "y", "x"], ["x"])
-    assert matches == [MaximalMatch(1, 0, 0), MaximalMatch(1, 2, 0)]
+    assert matches.tolist() == [[1, 0, 0], [1, 2, 0]]
 
 
 def test_matches_are_sorted_and_unique_by_position():
@@ -63,7 +66,7 @@ def test_matches_are_sorted_and_unique_by_position():
     ref = [rng.choice("ab") for _ in range(50)]
     gen = [rng.choice("ab") for _ in range(50)]
     matches = maximal_common_substrings(ref, gen)
-    keys = [(m.pos_ref, m.pos_gen) for m in matches]
+    keys = [(pos_ref, pos_gen) for _, pos_ref, pos_gen in matches.tolist()]
     assert keys == sorted(keys)
     assert len(keys) == len(set(keys))
 
@@ -73,7 +76,7 @@ def test_oracle_equivalence_random_pairs():
     for _ in range(200):
         ref = [rng.choice("abcde") for _ in range(rng.randrange(0, 41))]
         gen = [rng.choice("abcde") for _ in range(rng.randrange(0, 41))]
-        assert maximal_common_substrings(ref, gen) == oracle_maximal_matches(ref, gen)
+        assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
 
 
 def _draw(seed, n, vocab):
@@ -102,18 +105,17 @@ def _draw(seed, n, vocab):
     ],
 )
 def test_oracle_equivalence_edge_cases(ref, gen):
-    assert maximal_common_substrings(ref, gen) == oracle_maximal_matches(ref, gen)
+    assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
 
 
 @given(token_lists, token_lists)
 def test_oracle_equivalence_property(ref, gen):
-    assert maximal_common_substrings(ref, gen) == oracle_maximal_matches(ref, gen)
+    assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
 
 
 @given(token_lists, token_lists)
 def test_every_match_is_maximal(ref, gen):
-    for m in maximal_common_substrings(ref, gen):
-        i, j, k = m.pos_ref, m.pos_gen, m.length
+    for k, i, j in maximal_common_substrings(ref, gen).tolist():
         assert k >= 1
         assert ref[i : i + k] == gen[j : j + k]
         if i > 0 and j > 0:
@@ -144,36 +146,32 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
-def _m(*lengths):
-    return [MaximalMatch(length=k, pos_ref=0, pos_gen=0) for k in lengths]
-
-
 def test_frequency_array_threshold_semantics():
-    arr = frequency_array(_m(5, 3, 12, 7), l_min=5, l_max=12)
+    arr = frequency_array([5, 3, 12, 7], l_min=5, l_max=12)
     # matches >= k for k = 5..12: lengths {5, 7, 12} qualify progressively
     assert arr.counts == (3, 2, 2, 1, 1, 1, 1, 1)
     assert arr.l_min == 5 and arr.l_max == 12
 
 
 def test_frequency_array_counts_above_l_max_once_per_threshold():
-    arr = frequency_array(_m(40), l_min=5, l_max=8)
+    arr = frequency_array([40], l_min=5, l_max=8)
     assert arr.counts == (1, 1, 1, 1)
 
 
 def test_frequency_array_ignores_short_matches():
-    arr = frequency_array(_m(1, 2, 4), l_min=5, l_max=6)
+    arr = frequency_array([1, 2, 4], l_min=5, l_max=6)
     assert arr.counts == (0, 0)
 
 
 def test_frequency_array_exact_mode():
-    arr = frequency_array(_m(5, 5, 6, 12, 40), l_min=5, l_max=12, exact=True)
+    arr = frequency_array([5, 5, 6, 12, 40], l_min=5, l_max=12, exact=True)
     assert arr.counts == (2, 1, 0, 0, 0, 0, 0, 1)  # 40 exceeds l_max: not counted
 
 
 def test_frequency_array_threshold_counts_are_non_increasing():
     rng = random.Random(11)
-    matches = _m(*[rng.randrange(1, 20) for _ in range(100)])
-    counts = frequency_array(matches, l_min=2, l_max=15).counts
+    lengths = [rng.randrange(1, 20) for _ in range(100)]
+    counts = frequency_array(lengths, l_min=2, l_max=15).counts
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -206,11 +204,73 @@ def test_sum_arrays():
 
 @given(st.lists(st.integers(min_value=1, max_value=30), max_size=40))
 def test_threshold_array_is_suffix_sum_of_exact_array(lengths):
-    matches = _m(*lengths)
-    thresh = frequency_array(matches, 2, 10).counts
-    exact = frequency_array(matches, 2, 10, exact=True).counts
+    thresh = frequency_array(lengths, 2, 10).counts
+    exact = frequency_array(lengths, 2, 10, exact=True).counts
     overflow = sum(1 for k in lengths if k > 10)
     tail = overflow
     for idx in range(len(exact) - 1, -1, -1):
         tail += exact[idx]
         assert thresh[idx] == tail
+
+
+@given(st.data())
+def test_frequency_array_matches_count_oracle(data):
+    l_max = data.draw(st.integers(min_value=1, max_value=20))
+    l_min = data.draw(st.integers(min_value=1, max_value=l_max))
+    lengths = data.draw(st.lists(st.integers(min_value=0, max_value=3 * l_max), max_size=60))
+    for exact in (False, True):
+        expected = oracle_frequency_counts(lengths, l_min, l_max, exact=exact)
+        assert frequency_array(lengths, l_min, l_max, exact=exact).counts == expected
+        counts = frequency_array(np.array(lengths, dtype=np.int32), l_min, l_max, exact=exact).counts
+        assert counts == expected
+        assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize(
+    ("ref", "gen", "k"),
+    [
+        pytest.param("a b c a".split(), "b c d a".split(), 3, id="matches"),
+        pytest.param([], ["a"], 0, id="empty-ref"),
+        pytest.param(["a"], [], 0, id="empty-gen"),
+        pytest.param(["a"], ["b"], 0, id="no-common-token"),
+    ],
+)
+def test_kernel_returns_read_only_int32_rows(ref, gen, k):
+    matches = maximal_common_substrings(ref, gen)
+    assert matches.dtype == np.int32
+    assert matches.shape == (k, 3)
+    assert not matches.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        matches[:1] = 0
+    assert type(longest_common_substring_len(ref, gen)) is int
+
+
+def _zipf_chunk_copy_pair(seed, n):
+    """A reference of n Zipf words (s = 1.1 over 20k words) and a completion
+    that copies each 3-12 word chunk of it with probability 0.35 and
+    otherwise draws as many Zipf words."""
+    rng = random.Random(seed)
+    words = [f"w{r}" for r in range(20_000)]
+    cum_weights = list(itertools.accumulate(r**-1.1 for r in range(1, 20_001)))
+    ref = rng.choices(words, cum_weights=cum_weights, k=n)
+    gen = []
+    while len(gen) < n:
+        chunk = ref[len(gen) : len(gen) + rng.randint(3, 12)]
+        if rng.random() < 0.35:
+            gen.extend(chunk)
+        else:
+            gen.extend(rng.choices(words, cum_weights=cum_weights, k=len(chunk)))
+    return ref, gen
+
+
+def test_kernel_memory_on_zipf_chunk_copy_pair():
+    ref, gen = _zipf_chunk_copy_pair(1, 2048)
+    maximal_common_substrings(ref, gen)  # warm-up, so one-off allocations are not counted
+    tracemalloc.start()
+    try:
+        matches = maximal_common_substrings(ref, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(matches) > 100_000
+    assert peak < 12 * 2**20, f"kernel peak {peak / 2**20:.1f} MB"
