@@ -22,14 +22,12 @@ from msr_audit.gateway import (
     BackendError,
     GenerationCache,
     GenerationParams,
-    GenerationRecord,
     LiveBackend,
     ObliviousBackend,
     PartialCopyBackend,
     VerbatimBackend,
     backend_from_spec,
     generate_batch,
-    request_key,
 )
 from msr_audit.matching import (
     FrequencyArray,
@@ -41,12 +39,9 @@ from msr_audit.matching import (
 from msr_audit.prompting import (
     DEFAULT_SYSTEM_PROMPT,
     GeneratedCompletion,
-    Segmentation,
     Transcript,
-    Turn,
     build_transcript,
     format_transcript,
-    render_segment,
     segment,
 )
 from msr_audit.runner import (
@@ -62,7 +57,6 @@ from msr_audit.runner import (
 )
 from msr_audit.stats import (
     CohortComparison,
-    chi2_sf,
     cliffs_delta,
     compare_cohorts,
     compare_samples,
@@ -86,18 +80,14 @@ __all__ = [
     "GeneratedCompletion",
     "GenerationCache",
     "GenerationParams",
-    "GenerationRecord",
     "LiveBackend",
     "ObliviousBackend",
     "PartialCopyBackend",
-    "Segmentation",
     "TokenizedDocument",
     "Transcript",
-    "Turn",
     "VerbatimBackend",
     "backend_from_spec",
     "build_transcript",
-    "chi2_sf",
     "cliffs_delta",
     "compare_cohorts",
     "compare_samples",
@@ -112,9 +102,7 @@ __all__ = [
     "low_vs_high",
     "longest_common_substring_len",
     "maximal_common_substrings",
-    "render_segment",
     "report_to_dict",
-    "request_key",
     "run_audit",
     "segment",
     "sum_arrays",

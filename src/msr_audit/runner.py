@@ -35,6 +35,7 @@ from msr_audit.gateway import (
 from msr_audit.matching import (
     FrequencyArray,
     frequency_array,
+    longest_common_substring_len,
     maximal_common_substrings,
     sum_arrays,
 )
@@ -211,18 +212,25 @@ def _audit(
                 continue
             text = record.output_text.lower() if config.lowercase else record.output_text
             completion = GeneratedCompletion.from_text(text)
-            matches = maximal_common_substrings(transcript.reference_tokens, completion.tokens)
+            reference = transcript.reference_tokens
+            matches = maximal_common_substrings(reference, completion.tokens, config.l_min)
             lengths = matches[:, 0]
             counts = frequency_array(
                 lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths
             )
+            # The kernel skips runs shorter than l_min; when it found none,
+            # the longest match is one of those.
+            if len(lengths):
+                longest = int(lengths.max())
+            else:
+                longest = longest_common_substring_len(reference, completion.tokens)
             ordered.append(
                 (
                     position,
                     DocumentMatchSummary(
                         doc_id=doc.id,
                         cohort=cohort,
-                        longest_match=int(lengths.max(initial=0)),
+                        longest_match=longest,
                         counts=counts,
                     ),
                 )

@@ -5,10 +5,10 @@ mid-rank ties, tie correction, and a chi-squared p-value.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 from scipy.special import gammaincc
 
 from msr_audit.matching import FrequencyArray
@@ -36,27 +36,30 @@ class CohortComparison:
 def cliffs_delta(x: Sample, y: Sample) -> float:
     """Rank effect size in [-1, 1]: P(x > y) - P(x < y) over all pairs.
 
-    Ties contribute zero. Positive values mean x tends to be larger.
+    Ties contribute zero. Positive values mean x tends to be larger. The
+    pairs are counted as integers by binary search in sorted ``y``, so the
+    result is the exact count difference divided once by len(x) * len(y).
     """
     if len(x) == 0 or len(y) == 0:
         raise ValueError("cliffs_delta requires two non-empty samples")
-    greater = sum(1 for a in x for b in y if a > b)
-    less = sum(1 for a in x for b in y if a < b)
-    return (greater - less) / (len(x) * len(y))
+    ys = np.sort(np.asarray(y))
+    greater = int(np.searchsorted(ys, x, "left").sum())
+    less = len(x) * len(ys) - int(np.searchsorted(ys, x, "right").sum())
+    return (greater - less) / (len(x) * len(ys))
 
 
 def ks_distance(x: Sample, y: Sample) -> float:
     """Two-sample Kolmogorov-Smirnov distance: sup |ECDF_x(t) - ECDF_y(t)|."""
     if len(x) == 0 or len(y) == 0:
         raise ValueError("ks_distance requires two non-empty samples")
-    xs, ys = sorted(x), sorted(y)
-    nx, ny = len(xs), len(ys)
-    best = 0.0
-    for t in xs + ys:
-        gap = abs(bisect.bisect_right(xs, t) / nx - bisect.bisect_right(ys, t) / ny)
-        if gap > best:
-            best = gap
-    return best
+    xs, ys = np.sort(np.asarray(x)), np.sort(np.asarray(y))
+    # Both step functions jump only at sample values, so the sup is reached
+    # at one of them.
+    points = np.concatenate((xs, ys))
+    gaps = np.abs(
+        np.searchsorted(xs, points, "right") / len(xs) - np.searchsorted(ys, points, "right") / len(ys)
+    )
+    return float(gaps.max())
 
 
 def _midranks(values: Sequence[float]) -> tuple[list[float], float]:

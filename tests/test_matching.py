@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from oracles import oracle_frequency_counts, oracle_rows
 from msr_audit.matching import (
     FrequencyArray,
+    _intern,
+    _qgram_keys,
     frequency_array,
     longest_common_substring_len,
     maximal_common_substrings,
@@ -122,6 +124,72 @@ def test_every_match_is_maximal(ref, gen):
             assert ref[i - 1] != gen[j - 1]
         if i + k < len(ref) and j + k < len(gen):
             assert ref[i + k] != gen[j + k]
+
+
+@given(token_lists, token_lists, st.integers(min_value=1, max_value=16))
+def test_min_length_keeps_exactly_the_long_oracle_rows(ref, gen, q):
+    expected = [row for row in oracle_rows(ref, gen) if row[0] >= q]
+    assert maximal_common_substrings(ref, gen, q).tolist() == expected
+
+
+def _chunk_copy(seed, n, vocab, chunk):
+    """A reference of n uniform words over ``vocab`` words and a completion
+    that copies every other ``chunk``-word piece of it and draws the rest
+    afresh."""
+    ref, fresh = _draw(seed, n, vocab), _draw(seed + 1, n, vocab)
+    return ref, [(ref if (p // chunk) % 2 else fresh)[p] for p in range(n)]
+
+
+def test_min_length_past_one_int64_key_small_vocab():
+    # 30 ** 20 > 2 ** 62: the 20-gram keys must be renumbered while packing.
+    ref, gen = _chunk_copy(8, 400, 30, 25)
+    expected = [row for row in oracle_rows(ref, gen) if row[0] >= 20]
+    assert len(expected) >= 5
+    assert maximal_common_substrings(ref, gen, 20).tolist() == expected
+
+
+@pytest.mark.parametrize("q", [5, 12])
+def test_min_length_on_long_pair_over_large_vocab(q):
+    # About 3,000 distinct words: a 5-gram fits one int64 key, a 12-gram
+    # does not.
+    ref, gen = _chunk_copy(9, 3000, 5000, 30)
+    every = maximal_common_substrings(ref, gen)
+    expected = every[every[:, 0] >= q].tolist()
+    assert len(expected) >= 40
+    assert maximal_common_substrings(ref, gen, q).tolist() == expected
+
+
+@pytest.mark.parametrize(("n", "vocab", "q"), [(400, 30, 20), (6000, 5000, 12), (6000, 5000, 5), (50, 2, 9)])
+def test_qgram_keys_are_exact_and_below_2_to_62(n, vocab, q):
+    rng = random.Random(n + q)
+    tokens = [f"w{rng.randrange(vocab)}" for _ in range(n)]
+    ids, n_ids = _intern(tokens, [])
+    keys = _qgram_keys(ids, n_ids, q).tolist()
+    assert len(keys) == n - q + 1
+    assert 0 <= min(keys) and max(keys) < 2**62
+    grams = [tuple(tokens[p : p + q]) for p in range(n - q + 1)]
+    # Equal keys iff equal q-grams: both partition the positions alike.
+    assert len(set(keys)) == len(set(grams)) == len(set(zip(keys, grams)))
+
+
+def test_min_length_below_one_is_rejected():
+    for q in (0, -3):
+        with pytest.raises(ValueError, match="min_length"):
+            maximal_common_substrings(["a"], ["a"], q)
+
+
+@pytest.mark.parametrize(
+    ("ref", "gen"),
+    [
+        pytest.param("a b".split(), "a b c".split(), id="short-ref"),
+        pytest.param("a b c".split(), "a b".split(), id="short-gen"),
+        pytest.param([], [], id="both-empty"),
+    ],
+)
+def test_side_shorter_than_min_length_gives_no_rows(ref, gen):
+    matches = maximal_common_substrings(ref, gen, 3)
+    assert matches.shape == (0, 3) and matches.dtype == np.int32
+    assert not matches.flags.writeable
 
 
 def test_longest_common_substring_len():

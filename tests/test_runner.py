@@ -6,8 +6,15 @@ from dataclasses import replace
 import pytest
 
 from conftest import CountingBackend, FailingBackend, make_corpus, synthetic_text
+from oracles import oracle_rows
 from msr_audit.corpus import CorpusError, Document
-from msr_audit.gateway import BackendError, ObliviousBackend, PartialCopyBackend, VerbatimBackend
+from msr_audit.gateway import (
+    Backend,
+    BackendError,
+    ObliviousBackend,
+    PartialCopyBackend,
+    VerbatimBackend,
+)
 from msr_audit.matching import FrequencyArray
 from msr_audit.runner import (
     AuditReport,
@@ -188,6 +195,39 @@ def test_run_audit_exact_length_mode(small_corpus, small_config):
     report = run_audit(small_corpus, replace(small_config, exact_lengths=True), backends=SPLIT)
     # the single 20-token match exceeds l_max=8, so no exact bucket counts it
     assert report.f_pre.counts == (0,) * 7
+
+
+class PrefixCopyBackend(Backend):
+    """Copies the first ``keep[tag]`` words of the reference, where ``tag``
+    is the ``synthetic_text`` tag of the document, then ten words no document
+    has. Records each (reference, completion) token pair by tag."""
+
+    def __init__(self, keep: dict[str, int]) -> None:
+        self.keep = keep
+        self.pairs: dict[str, tuple[list[str], list[str]]] = {}
+
+    def complete(self, transcript, params) -> str:
+        reference = list(transcript.reference_tokens)
+        tag = reference[0].partition("w")[0]
+        completion = reference[: self.keep[tag]] + [f"zz{i}" for i in range(10)]
+        self.pairs[tag] = (reference, completion)
+        return " ".join(completion)
+
+
+def test_run_audit_longest_match_below_l_min(small_corpus, small_config):
+    # p0 shares a 3-word run (below l_min = 5), p1 no word at all, p2 a
+    # counted 8-word run.
+    backend = PrefixCopyBackend({"p0": 3, "p1": 0, "p2": 8, "q0": 0, "q1": 4, "q2": 6})
+    report = run_audit(small_corpus, replace(small_config, l_min=5), backends=backend)
+    for summary in report.documents:
+        tag = summary.doc_id.replace("pre-", "p").replace("post-", "q")
+        rows = oracle_rows(*backend.pairs[tag])
+        assert summary.longest_match == max((length for length, _, _ in rows), default=0)
+        if summary.longest_match < 5:
+            assert summary.counts.counts == (0, 0, 0, 0)
+    longest = {summary.doc_id: summary.longest_match for summary in report.documents}
+    assert longest == {"pre-0": 3, "pre-1": 0, "pre-2": 8, "post-0": 0, "post-1": 4, "post-2": 6}
+    assert report.f_pre.counts == (1, 1, 1, 1)
 
 
 # ----------------------------------------------------------------------- sweeps

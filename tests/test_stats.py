@@ -108,6 +108,21 @@ def test_ks_distance_8v8_is_eighths(x, y):
     assert ks_distance(x, y) == pytest.approx(float(exact), abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_statistics_on_tie_heavy_samples_of_1000(seed):
+    rng = random.Random(seed)
+    pool = [0, 0, 0, 1, 1, 2, 2.5, 3, 0.1, 7]
+    x = [rng.choice(pool) for _ in range(1000)]
+    y = [rng.choice(pool) + rng.choice((0, 0, 1)) for _ in range(1000 - 37 * seed)]
+    # The delta is one integer difference over n * m, so it rounds exactly
+    # like the fraction.
+    assert cliffs_delta(x, y) == float(oracle_cliffs_delta(x, y))
+    assert cliffs_delta(y, x) == float(oracle_cliffs_delta(y, x))
+    assert ks_distance(x, y) == pytest.approx(float(oracle_ks_distance(x, y)), abs=1e-12)
+    expected = scipy.stats.ks_2samp(x, y, method="asymp").statistic
+    assert ks_distance(x, y) == pytest.approx(expected, abs=1e-12)
+
+
 # --------------------------------------------------------------- Kruskal-Wallis
 
 
