@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -247,11 +248,14 @@ def _read_counts(path: str) -> list[float]:
             continue
         cell = row[-1].strip()
         try:
-            counts.append(float(cell))
+            value = float(cell)
         except ValueError:
             if lineno == 1:
                 continue
             raise CorpusError(f"{path}:{lineno}: not a number: {cell!r}") from None
+        if not math.isfinite(value):
+            raise CorpusError(f"{path}:{lineno}: not a finite number: {cell!r}")
+        counts.append(value)
     if not counts:
         raise CorpusError(f"{path}: no counts found")
     return counts

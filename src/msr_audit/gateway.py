@@ -61,7 +61,7 @@ class GenerationRecord:
     request_key: str
     output_text: str
     backend_name: str
-    params: GenerationParams | None
+    params: GenerationParams
     created_at: str
     error: str | None = None
 
@@ -318,6 +318,9 @@ class GenerationCache:
                     continue
                 try:
                     raw = json.loads(line)
+                    for field in ("key", "output", "backend", "model", "created_at"):
+                        if not isinstance(raw[field], str):
+                            raise TypeError(f"{field!r} is not a string")
                     record = GenerationRecord(
                         doc_id="",
                         request_key=raw["key"],
@@ -354,10 +357,10 @@ class GenerationCache:
                         "key": record.request_key,
                         "output": record.output_text,
                         "backend": record.backend_name,
-                        "model": params.model if params else "",
-                        "temperature": params.temperature if params else 0.0,
-                        "max_tokens": params.max_tokens if params else None,
-                        "seed": params.seed if params else None,
+                        "model": params.model,
+                        "temperature": params.temperature,
+                        "max_tokens": params.max_tokens,
+                        "seed": params.seed,
                         "created_at": record.created_at,
                     },
                     ensure_ascii=False,

@@ -5,11 +5,11 @@ mid-rank ties, tie correction, and a chi-squared p-value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from msr_audit.matching import FrequencyArray
 
@@ -62,24 +62,6 @@ def ks_distance(x: Sample, y: Sample) -> float:
     return float(gaps.max())
 
 
-def _midranks(values: Sequence[float]) -> tuple[list[float], float]:
-    """Average ranks of sorted ``values`` plus the tie-correction sum of t^3 - t."""
-    ranks = [0.0] * len(values)
-    tie_sum = 0
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and values[j] == values[i]:
-            j += 1
-        avg = (i + j + 1) / 2.0  # ranks are 1-based
-        for k in range(i, j):
-            ranks[k] = avg
-        t = j - i
-        tie_sum += t * t * t - t
-        i = j
-    return ranks, float(tie_sum)
-
-
 def kruskal_wallis(groups: Sequence[Sample]) -> tuple[float, float]:
     """Kruskal-Wallis H across groups, with tie correction.
 
@@ -87,29 +69,32 @@ def kruskal_wallis(groups: Sequence[Sample]) -> tuple[float, float]:
     1 - sum(t^3 - t) / (N^3 - N). When every pooled value is identical the
     statistic is defined as H = 0 with p = 1. Returns (H, p) where the p-value
     is the upper chi-squared tail with len(groups) - 1 degrees of freedom.
+    Values must be finite: NaN has no rank.
     """
     if len(groups) < 2:
         raise ValueError("kruskal_wallis requires at least 2 groups")
-    for i, g in enumerate(groups):
-        if len(g) == 0:
+    sizes = [len(g) for g in groups]
+    for i, n in enumerate(sizes):
+        if n == 0:
             raise ValueError(f"kruskal_wallis group {i} is empty")
-    total = sum(len(g) for g in groups)
+    total = sum(sizes)
     if total < 3:
         raise ValueError(f"kruskal_wallis requires at least 3 values in total, got {total}")
+    pooled = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
+    if not np.isfinite(pooled).all():
+        raise ValueError("kruskal_wallis requires finite values")
 
-    pooled = sorted((v, gi) for gi, g in enumerate(groups) for v in g)
-    ranks, tie_sum = _midranks([v for v, _ in pooled])
-    correction = 1.0 - tie_sum / (total**3 - total)
-    if correction == 0.0:  # every value identical
+    _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
+    if len(ties) == 1:  # every value identical
         return 0.0, 1.0
-
-    rank_sums = [0.0] * len(groups)
-    for (_, gi), rank in zip(pooled, ranks):
-        rank_sums[gi] += rank
+    # float64, not int64: exact while N^3 < 2^53, and t^3 cannot wrap beyond.
+    tie_sum = float((ties.astype(np.float64) ** 3 - ties).sum())
+    correction = 1.0 - tie_sum / (total**3 - total)
+    # Mid-ranks are half-integers, so the rank sums are exact in any order.
+    ranks = (np.cumsum(ties) - (ties - 1) / 2.0)[inverse]
+    rank_sums = np.bincount(np.repeat(np.arange(len(groups)), sizes), weights=ranks).tolist()
     grand_mean = (total + 1) / 2.0
-    h = 12.0 / (total * (total + 1)) * sum(
-        len(g) * (rank_sums[gi] / len(g) - grand_mean) ** 2 for gi, g in enumerate(groups)
-    )
+    h = 12.0 / (total * (total + 1)) * sum(n * (s / n - grand_mean) ** 2 for n, s in zip(sizes, rank_sums))
     h /= correction
     return h, chi2_sf(h, len(groups) - 1)
 
@@ -117,13 +102,26 @@ def kruskal_wallis(groups: Sequence[Sample]) -> tuple[float, float]:
 def chi2_sf(value: float, df: int) -> float:
     """Upper-tail probability of the chi-squared distribution.
 
-    Computed as the regularized upper incomplete gamma Q(df/2, value/2).
+    The regularized upper incomplete gamma Q(df/2, z) at z = value/2, in
+    closed form for integer df: Q(a + 1, z) = Q(a, z) + z^a e^-z / Gamma(a + 1),
+    from Q(1/2, z) = erfc(sqrt(z)) for odd df and from 0 at a = 0 for even df.
+    Each term is formed in log space: a recurrence from e^-z underflows to 0
+    at df=200, value=1600, where the tail is about 1e-216.
     """
     if not isinstance(df, int) or df < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if value < 0:
-        raise ValueError(f"chi-squared statistic must be >= 0, got {value}")
-    return float(gammaincc(df / 2.0, value / 2.0))
+    if not 0 <= value < math.inf:
+        raise ValueError(f"chi-squared statistic must be finite and >= 0, got {value}")
+    if value == 0:
+        return 1.0
+    z = value / 2.0
+    if df % 2:
+        tail, exponents = math.erfc(math.sqrt(z)), [i - 0.5 for i in range(1, (df + 1) // 2)]
+    else:
+        tail, exponents = 0.0, range(df // 2)
+    log_z = math.log(z)
+    tail += sum(math.exp(a * log_z - z - math.lgamma(a + 1)) for a in exponents)
+    return min(tail, 1.0)  # rounded terms lift a tail near 1 past it: df=200, value=25
 
 
 def compare_samples(first: Sample, second: Sample) -> CohortComparison:

@@ -299,6 +299,16 @@ def test_stats_garbage_exit_2(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_stats_non_finite_exit_2(tmp_path, capsys, cell):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("1\n2\n", encoding="utf-8")
+    b.write_text(f"k,count\n5,1\n6,{cell}\n", encoding="utf-8")
+    assert main(["stats", str(a), str(b)]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
 def test_transcript_command(tmp_path, capsys):
     docs = make_corpus(n_pre=1, n_post=1, words=60)
     corpus = write_corpus_jsonl(tmp_path / "c.jsonl", docs)

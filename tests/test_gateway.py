@@ -243,6 +243,31 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
 
 
+@pytest.mark.parametrize("field", ["key", "output", "backend", "model", "created_at"])
+def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
+    transcript = _transcript()
+    backend = CountingBackend(VerbatimBackend())
+    params = GenerationParams()
+    line = {
+        "key": request_key(backend, transcript, params),
+        "output": "cached",
+        "backend": backend.name,
+        "model": params.model,
+        "temperature": params.temperature,
+        "created_at": "2026-01-01T00:00:00+00:00",
+    }
+    line[field] = 5
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        cache = GenerationCache(path)
+    assert len(cache) == 0
+    assert any("corrupt cache line" in r.message for r in caplog.records)
+    [record] = generate_batch(backend, [transcript], params, cache=cache)
+    assert backend.calls == 1
+    assert record.output_text == transcript.reference_text
+
+
 def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = GenerationCache(path)

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import msr_audit
 from oracles import (
     oracle_chi2_sf,
     oracle_chi2_sf_df1,
@@ -176,6 +181,12 @@ def test_kruskal_wallis_rejects_bad_input():
         kruskal_wallis([[1], [2]])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kruskal_wallis_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        kruskal_wallis([[bad, 1.0], [2.0, 3.0]])
+
+
 @given(
     st.lists(st.integers(0, 8), min_size=2, max_size=12),
     st.lists(st.integers(0, 8), min_size=2, max_size=12),
@@ -210,7 +221,7 @@ def test_kruskal_wallis_matches_scipy(x, y):
 def test_chi2_sf_df1_matches_erfc_closed_form():
     for i in range(0, 161):
         x = i / 4.0
-        assert chi2_sf(x, 1) == pytest.approx(oracle_chi2_sf_df1(x), abs=1e-8)
+        assert chi2_sf(x, 1) == pytest.approx(oracle_chi2_sf_df1(x), rel=1e-13)
 
 
 def test_chi2_sf_df2_matches_exponential_closed_form():
@@ -219,9 +230,18 @@ def test_chi2_sf_df2_matches_exponential_closed_form():
 
 
 def test_chi2_sf_matches_mpmath_for_larger_df():
-    for df in (3, 5, 10):
-        for x in (0.1, 2.0, 7.7, 25.0):
-            assert chi2_sf(x, df) == pytest.approx(oracle_chi2_sf(x, df), rel=1e-10)
+    # Far tails such as df=200, x=1600 (about 1e-216) catch a sum whose terms
+    # underflow to 0 before they are added; near tails such as df=1500, x=200
+    # catch rounded terms that sum past 1.
+    checked = 0
+    for df in (*range(1, 12), 50, 200, 1500, 2000):
+        for x in (0.1, 2.0, 7.7, 25.0, 100.0, 300.0, 1000.0, 1600.0, 2100.0, 0.5 * df, df, 1.5 * df):
+            assert 0.0 <= chi2_sf(x, df) <= 1.0
+            expected = oracle_chi2_sf(x, df)
+            if expected > 1e-290:
+                assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-12), (x, df)
+                checked += 1
+    assert checked == 155
 
 
 def test_chi2_sf_boundaries_and_validation():
@@ -233,6 +253,17 @@ def test_chi2_sf_boundaries_and_validation():
         chi2_sf(1.0, 0)
     with pytest.raises(ValueError):
         chi2_sf(1.0, 2.5)  # type: ignore[arg-type]
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            chi2_sf(value, 3)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(msr_audit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, msr_audit; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ comparisons
