@@ -264,7 +264,10 @@ def _read_counts(path: str) -> list[float]:
 def cmd_stats(args: argparse.Namespace) -> int:
     pre = _read_counts(args.pre_csv)
     post = _read_counts(args.post_csv)
-    comparison = compare_samples(post, pre)
+    try:
+        comparison = compare_samples(post, pre)
+    except ValueError as exc:  # too few values to compare: a data error, not usage
+        raise CorpusError(str(exc)) from exc
     print(json.dumps(asdict(comparison), sort_keys=True))
     return EXIT_OK
 

@@ -5,21 +5,23 @@ append-only JSONL response cache keyed by canonical request digest.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
 import random
+import ssl
 import threading
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
 
 from msr_audit.prompting import Transcript
 
@@ -201,6 +203,11 @@ class LiveBackend(Backend):
 
     Retries transient failures (timeouts, connection errors, 429, 5xx) up to
     ``max_attempts`` times; other client errors surface immediately.
+
+    Keep-alive connections are pooled on the backend: a request takes an idle
+    connection or dials a new one, and returns it only after reading the whole
+    response, so no two threads share a connection and at most one is open
+    per thread in flight. HTTPS verifies against the system trust store.
     """
 
     name = "live"
@@ -213,28 +220,43 @@ class LiveBackend(Backend):
         max_attempts: int = 5,
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
-        session: requests.Session | None = None,
     ) -> None:
         if not base_url:
             raise ValueError("live backend requires a base URL")
         self.url = base_url.rstrip("/") + "/chat/completions"
+        parts = urllib.parse.urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"live backend URL must be http(s)://host[:port][/path], got {base_url!r}")
+        self._path = parts.path + (f"?{parts.query}" if parts.query else "")
+        if parts.scheme == "https":
+            self._dial = functools.partial(
+                http.client.HTTPSConnection,
+                parts.hostname,
+                parts.port or 443,
+                timeout=timeout,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._dial = functools.partial(http.client.HTTPConnection, parts.hostname, parts.port or 80, timeout=timeout)
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         self.api_key = api_key
-        self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._session = session or requests.Session()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
-        body = {
-            "model": params.model,
-            "messages": transcript_messages(transcript),
-            "temperature": params.temperature,
-            "max_tokens": resolve_max_tokens(transcript, params),
-        }
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = json.dumps(
+            {
+                "model": params.model,
+                "messages": transcript_messages(transcript),
+                "temperature": params.temperature,
+                "max_tokens": resolve_max_tokens(transcript, params),
+            }
+        ).encode("utf-8")
 
         last_error = "no attempts made"
         for attempt in range(self.max_attempts):
@@ -243,28 +265,67 @@ class LiveBackend(Backend):
                 logger.warning("retrying after %s (attempt %d): %s", last_error, attempt + 1, self.url)
                 self._sleep(delay)
             try:
-                resp = self._session.post(self.url, json=body, headers=headers, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                status, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"network error: {exc}"
                 continue
-            if resp.status_code in RETRY_STATUS:
-                last_error = f"HTTP {resp.status_code}"
+            if status in RETRY_STATUS:
+                last_error = f"HTTP {status}"
                 continue
-            if resp.status_code != 200:
-                raise BackendError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
-            return self._extract_content(resp)
+            if status != 200:
+                text = data[:200].decode("utf-8", errors="replace")
+                raise BackendError(f"HTTP {status} from {self.url}: {text}")
+            return self._extract_content(data)
         raise BackendError(f"request to {self.url} failed after {self.max_attempts} attempts: {last_error}")
 
-    @staticmethod
-    def _extract_content(resp: requests.Response) -> str:
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One POST on an idle connection, or on a new one if none is idle.
+
+        A reused connection that fails before a status line arrives was most
+        likely closed by the server while idle, so the request goes out once
+        more on a new connection; only that second failure reaches the caller.
+        """
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            result = self._exchange(conn, body, reused=True)
+            if result is not None:
+                return result
+        return self._exchange(self._dial(), body, reused=False)
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes, reused: bool) -> tuple[int, bytes] | None:
+        """Send ``body`` on ``conn`` and read the whole response; None when a
+        reused connection turns out to be closed."""
         try:
-            data = resp.json()
+            try:
+                conn.request("POST", self._path, body, self._headers)
+                resp = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                return None
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return resp.status, data
+
+    @staticmethod
+    def _extract_content(data: bytes) -> str:
+        try:
+            parsed = json.loads(data)
         except ValueError as exc:
             raise BackendError(f"malformed response body: {exc}") from exc
         try:
-            content = data["choices"][0]["message"]["content"]
+            content = parsed["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
-            raise BackendError(f"malformed response body: {str(data)[:200]}") from None
+            raise BackendError(f"malformed response body: {str(parsed)[:200]}") from None
         if not isinstance(content, str):
             raise BackendError(f"completion content is not a string: {content!r}")
         return content
@@ -294,6 +355,11 @@ def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | Non
     raise ValueError(f"unknown backend {spec!r}; expected live, verbatim, oblivious, or partial:P")
 
 
+def _is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """isinstance check that does not let a JSON true/false pass as a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 class GenerationCache:
     """First-write-wins response cache, optionally persisted as JSON lines.
 
@@ -321,6 +387,11 @@ class GenerationCache:
                     for field in ("key", "output", "backend", "model", "created_at"):
                         if not isinstance(raw[field], str):
                             raise TypeError(f"{field!r} is not a string")
+                    if not _is_number(raw["temperature"]):
+                        raise TypeError("'temperature' is not a number")
+                    for field in ("max_tokens", "seed"):
+                        if raw.get(field) is not None and not _is_number(raw[field], int):
+                            raise TypeError(f"{field!r} is not an integer or null")
                     record = GenerationRecord(
                         doc_id="",
                         request_key=raw["key"],

@@ -2,7 +2,14 @@
 
 Each incoming POST consumes the next (status, body) pair from the script;
 once the script is exhausted every request gets a 200 fallback completion.
-Received requests (path, headers, parsed body) are recorded for assertions.
+Received requests (path, headers, parsed body) and the client port of each
+are recorded for assertions.
+
+By default the server speaks HTTP/1.0 and closes after each response. With
+``keep_alive`` it speaks HTTP/1.1 and keeps connections open; adding
+``hang_up`` makes it close after each response anyway, without a
+``Connection: close`` header, as a server does when an idle connection times
+out.
 """
 
 from __future__ import annotations
@@ -17,14 +24,23 @@ def completion_body(text: str) -> dict:
 
 
 class StubServer:
-    def __init__(self, script: list[tuple[int, object]] | None = None, fallback_text: str = "fallback"):
+    def __init__(
+        self,
+        script: list[tuple[int, object]] | None = None,
+        fallback_text: str = "fallback",
+        keep_alive: bool = False,
+        hang_up: bool = False,
+    ):
         self.script = list(script or [])
         self.requests: list[tuple[str, dict, object]] = []
+        self.ports: list[int] = []
         self._lock = threading.Lock()
         self._fallback = (200, completion_body(fallback_text))
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def do_POST(self) -> None:
                 length = int(self.headers.get("Content-Length", 0))
                 raw = self.rfile.read(length)
@@ -34,6 +50,7 @@ class StubServer:
                     parsed = raw
                 with stub._lock:
                     stub.requests.append((self.path, dict(self.headers), parsed))
+                    stub.ports.append(self.client_address[1])
                     status, body = stub.script.pop(0) if stub.script else stub._fallback
                 data = body if isinstance(body, bytes) else (
                     body if isinstance(body, str) else json.dumps(body)
@@ -43,6 +60,8 @@ class StubServer:
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+                if hang_up:
+                    self.close_connection = True
 
             def log_message(self, *args) -> None:
                 pass

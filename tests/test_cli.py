@@ -299,6 +299,15 @@ def test_stats_garbage_exit_2(tmp_path, capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+def test_stats_too_few_values_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("1\n", encoding="utf-8")
+    b.write_text("2\n", encoding="utf-8")
+    assert main(["stats", str(a), str(b)]) == 2
+    assert "at least 3 values" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_stats_non_finite_exit_2(tmp_path, capsys, cell):
     a = tmp_path / "a.csv"

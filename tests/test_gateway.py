@@ -243,8 +243,7 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
 
 
-@pytest.mark.parametrize("field", ["key", "output", "backend", "model", "created_at"])
-def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
+def _assert_line_skipped_and_rerequested(tmp_path, caplog, **overrides):
     transcript = _transcript()
     backend = CountingBackend(VerbatimBackend())
     params = GenerationParams()
@@ -255,8 +254,8 @@ def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
         "model": params.model,
         "temperature": params.temperature,
         "created_at": "2026-01-01T00:00:00+00:00",
+        **overrides,
     }
-    line[field] = 5
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
@@ -266,6 +265,26 @@ def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
     [record] = generate_batch(backend, [transcript], params, cache=cache)
     assert backend.calls == 1
     assert record.output_text == transcript.reference_text
+
+
+@pytest.mark.parametrize("field", ["key", "output", "backend", "model", "created_at"])
+def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
+    _assert_line_skipped_and_rerequested(tmp_path, caplog, **{field: 5})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("temperature", True),
+        ("temperature", "0.1"),
+        ("max_tokens", 2.5),
+        ("max_tokens", False),
+        ("seed", "x"),
+        ("seed", True),
+    ],
+)
+def test_cache_skips_line_with_mistyped_param(tmp_path, caplog, field, value):
+    _assert_line_skipped_and_rerequested(tmp_path, caplog, **{field: value})
 
 
 def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
@@ -509,6 +528,43 @@ def test_live_backend_batch_mixes_success_and_failure():
 def test_live_backend_requires_url():
     with pytest.raises(ValueError):
         LiveBackend("")
+
+
+@pytest.mark.parametrize("url", ["ftp://example.test/v1", "example.test/v1", "http:///v1", "http://host:port"])
+def test_live_backend_rejects_bad_url(url):
+    with pytest.raises(ValueError):
+        LiveBackend(url)
+
+
+def test_live_backend_reuses_keep_alive_connections():
+    transcripts = [_transcript(tag=f"t{i}") for i in range(20)]
+    with StubServer(keep_alive=True) as server:
+        backend = LiveBackend(server.url)
+        for half in (transcripts[:10], transcripts[10:]):
+            records = generate_batch(backend, half, GenerationParams(), max_in_flight=2)
+            assert all(r.ok for r in records)
+    assert len(server.requests) == 20
+    assert len(set(server.ports)) <= 2
+
+
+def test_live_backend_redials_a_connection_the_server_closed():
+    sleeps = []
+    with StubServer(keep_alive=True, hang_up=True) as server:
+        backend = LiveBackend(server.url, sleep=sleeps.append)
+        for _ in range(3):
+            assert backend.complete(_transcript(), GenerationParams()) == "fallback"
+    assert sleeps == []
+    assert len(server.requests) == 3
+
+
+def test_live_backend_timeout_is_a_retried_network_error():
+    sleeps = []
+    with socket.create_server(("127.0.0.1", 0)) as silent:  # accepts, never answers
+        port = silent.getsockname()[1]
+        backend = LiveBackend(f"http://127.0.0.1:{port}", timeout=0.2, max_attempts=2, sleep=sleeps.append)
+        with pytest.raises(BackendError, match="network error"):
+            backend.complete(_transcript(), GenerationParams())
+    assert len(sleeps) == 1
 
 
 # ------------------------------------------------------------ backend_from_spec

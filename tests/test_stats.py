@@ -258,12 +258,21 @@ def test_chi2_sf_boundaries_and_validation():
             chi2_sf(value, 3)
 
 
-def test_import_leaves_scipy_unloaded():
+def _loaded_by_import(*modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``import msr_audit``."""
     src = str(Path(msr_audit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, msr_audit; print('scipy' in sys.modules)"
+    code = f"import sys, msr_audit; print(*sorted(set({modules!r}) & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.split()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _loaded_by_import("scipy") == []
+
+
+def test_import_leaves_requests_unloaded():
+    assert _loaded_by_import("requests", "urllib3") == []
 
 
 # ------------------------------------------------------------------ comparisons
