@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -43,31 +43,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    # Each dest is an ExperimentConfig field name, and the field's default is the option's.
+    parser.set_defaults(**asdict(ExperimentConfig()))
     parser.add_argument("--pre", required=True, help="JSONL corpus for the likely-trained cohort")
     parser.add_argument("--post", required=True, help="JSONL corpus for the post-cutoff control cohort")
-    parser.add_argument(
-        "--backend",
-        default="verbatim",
-        help="live | verbatim | oblivious | partial:P (default: %(default)s)",
-    )
+    parser.add_argument("--backend", help="live | verbatim | oblivious | partial:P (default: %(default)s)")
     parser.add_argument("--backend-pre", help="override backend for the pre cohort only")
     parser.add_argument("--backend-post", help="override backend for the post cohort only")
-    parser.add_argument("--model", default="mock", help="model name sent to the live backend")
-    parser.add_argument("--shots", type=int, default=6, help="segments per document, even (default: %(default)s)")
-    parser.add_argument("--lmin", type=int, default=5, help="smallest match length tracked (default: %(default)s)")
-    parser.add_argument("--lmax", type=int, default=12, help="largest match length tracked (default: %(default)s)")
-    parser.add_argument("--temperature", type=float, default=0.1)
-    parser.add_argument("--min-words", type=int, default=1000, help="keep documents strictly longer than this")
-    parser.add_argument("--truncate", type=int, default=None, metavar="L", help="cap every document at L words")
-    parser.add_argument("--concurrency", type=int, default=4, help="max in-flight completions")
-    parser.add_argument("--cache", default=None, metavar="PATH", help="JSONL completion cache")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the mock backends")
+    parser.add_argument("--model", help="model name sent to the live backend")
+    parser.add_argument("--shots", type=int, help="segments per document, even (default: %(default)s)")
+    parser.add_argument(
+        "--lmin", dest="l_min", type=int, metavar="LMIN", help="smallest match length tracked (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--lmax", dest="l_max", type=int, metavar="LMAX", help="largest match length tracked (default: %(default)s)"
+    )
+    parser.add_argument("--temperature", type=float)
+    parser.add_argument("--min-words", type=int, help="keep documents strictly longer than this")
+    parser.add_argument(
+        "--truncate", dest="truncate_words", type=int, metavar="L", help="cap every document at L words"
+    )
+    parser.add_argument(
+        "--concurrency", dest="max_in_flight", type=int, metavar="CONCURRENCY", help="max in-flight completions"
+    )
+    parser.add_argument("--cache", dest="cache_path", metavar="PATH", help="JSONL completion cache")
+    parser.add_argument("--seed", type=int, help="seed for the mock backends")
     parser.add_argument("--out", default="msr_report", metavar="DIR", help="report directory (default: %(default)s)")
-    parser.add_argument("--base-url", default=None, help="live backend base URL (or MSR_BASE_URL)")
-    parser.add_argument("--system-prompt", default=DEFAULT_SYSTEM_PROMPT)
+    parser.add_argument("--base-url", help="live backend base URL (or MSR_BASE_URL)")
+    parser.add_argument("--system-prompt")
     parser.add_argument("--lowercase", action="store_true", help="case-fold before tokenizing")
     parser.add_argument("--exact-lengths", action="store_true", help="count exact lengths instead of >= k")
-    parser.add_argument("--max-tokens", type=int, default=None, help="completion budget (default: auto)")
+    parser.add_argument("--max-tokens", type=int, help="completion budget (default: auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,24 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        backend=args.backend,
-        model=args.model,
-        shots=args.shots,
-        l_min=args.lmin,
-        l_max=args.lmax,
-        temperature=args.temperature,
-        min_words=args.min_words,
-        truncate_words=args.truncate,
-        max_in_flight=args.concurrency,
-        cache_path=args.cache,
-        seed=args.seed,
-        system_prompt=args.system_prompt,
-        lowercase=args.lowercase,
-        exact_lengths=args.exact_lengths,
-        max_tokens=args.max_tokens,
-        base_url=args.base_url,
-    )
+    return ExperimentConfig(**{field.name: getattr(args, field.name) for field in fields(ExperimentConfig)})
 
 
 def _load_cohorts(args: argparse.Namespace) -> list:

@@ -18,7 +18,7 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -59,7 +59,6 @@ class GenerationParams:
 class GenerationRecord:
     """One completion with enough request context to reproduce or cache it."""
 
-    doc_id: str
     request_key: str
     output_text: str
     backend_name: str
@@ -116,6 +115,9 @@ class Backend:
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the backend holds open; the mock backends hold nothing."""
 
 
 class VerbatimBackend(Backend):
@@ -247,6 +249,13 @@ class LiveBackend(Backend):
         self._sleep = sleep
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle keep-alive connections; a later request dials anew."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         body = json.dumps(
@@ -393,7 +402,6 @@ class GenerationCache:
                         if raw.get(field) is not None and not _is_number(raw[field], int):
                             raise TypeError(f"{field!r} is not an integer or null")
                     record = GenerationRecord(
-                        doc_id="",
                         request_key=raw["key"],
                         output_text=raw["output"],
                         backend_name=raw["backend"],
@@ -452,41 +460,29 @@ def generate_batch(
     params: GenerationParams,
     max_in_flight: int = 4,
     cache: GenerationCache | None = None,
-    doc_ids: Sequence[str] | None = None,
 ) -> list[GenerationRecord]:
     """Complete many transcripts with at most ``max_in_flight`` outstanding.
 
     Outputs align index-wise with the inputs regardless of completion order.
-    Cached entries are not re-requested, and a cache hit carries the caller's
-    doc id. Per-item failures are captured on the record (``error`` set),
-    never cached, and never abort the batch. Empty completions are logged and
-    kept (they count as zero-match downstream).
+    Cached entries are not re-requested. Per-item failures are captured on
+    the record (``error`` set), never cached, and never abort the batch.
+    Empty completions are kept as they are.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
-    if doc_ids is not None and len(doc_ids) != len(transcripts):
-        raise ValueError("doc_ids must align with transcripts")
-    ids = list(doc_ids) if doc_ids is not None else [""] * len(transcripts)
 
-    def one(index: int) -> GenerationRecord:
-        transcript = transcripts[index]
-        doc_id = ids[index]
+    def one(transcript: Transcript) -> GenerationRecord:
         key = request_key(backend, transcript, params)
         if cache is not None:
             hit = cache.lookup(key)
             if hit is not None:
-                return replace(hit, doc_id=doc_id)
+                return hit
         error = None
         try:
             text = backend.complete(transcript, params)
         except BackendError as exc:
-            logger.warning("generation failed for document %r: %s", doc_id, exc)
             text, error = "", str(exc)
-        else:
-            if not text:
-                logger.warning("empty completion for document %r; will count as zero-match", doc_id)
         record = GenerationRecord(
-            doc_id=doc_id,
             request_key=key,
             output_text=text,
             backend_name=backend.name,
@@ -495,10 +491,10 @@ def generate_batch(
             error=error,
         )
         if cache is not None and error is None:
-            record = replace(cache.store(record), doc_id=doc_id)
+            return cache.store(record)
         return record
 
     if not transcripts:
         return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(one, range(len(transcripts))))
+        return list(pool.map(one, transcripts))

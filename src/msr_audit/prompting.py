@@ -1,4 +1,4 @@
-"""Segmentation of tokenized documents and construction of faux conversation
+"""Splitting of tokenized documents into segments and construction of faux conversation
 transcripts that hold out the final segment as the reference to be completed.
 """
 
@@ -12,22 +12,6 @@ DEFAULT_SYSTEM_PROMPT = "complete the paragraph"
 
 USER = "user"
 ASSISTANT = "assistant"
-
-
-@dataclass(frozen=True)
-class Segmentation:
-    """An ordered split of a document into ``n`` contiguous token ranges.
-
-    ``bounds`` are half-open [start, end) token-index intervals that partition
-    [0, token_count) with no gaps; lengths differ by at most one, longer
-    segments first.
-    """
-
-    n: int
-    bounds: tuple[tuple[int, int], ...]
-
-    def lengths(self) -> list[int]:
-        return [end - start for start, end in self.bounds]
 
 
 @dataclass(frozen=True)
@@ -62,12 +46,14 @@ class GeneratedCompletion:
         return cls(text=text, tokens=tuple(text.split()))
 
 
-def segment(doc: TokenizedDocument, n: int) -> Segmentation:
+def segment(doc: TokenizedDocument, n: int) -> tuple[tuple[int, int], ...]:
     """Split a document into ``n`` balanced segments at token boundaries.
 
-    ``n`` must be even and at least 2, and the document must have at least
-    ``n`` tokens. With m tokens, the first (m mod n) segments get ceil(m/n)
-    tokens and the rest floor(m/n), so remainder tokens go to the front.
+    Returns the segments' half-open [start, end) token ranges, which tile
+    [0, token count) in order. ``n`` must be even and at least 2, and the
+    document must have at least ``n`` tokens. With m tokens, the first
+    (m mod n) segments get ceil(m/n) tokens and the rest floor(m/n), so
+    remainder tokens go to the front.
     """
     if n < 2:
         raise ValueError(f"segment count must be >= 2, got {n}")
@@ -83,7 +69,7 @@ def segment(doc: TokenizedDocument, n: int) -> Segmentation:
         size = base + 1 if i < extra else base
         bounds.append((start, start + size))
         start += size
-    return Segmentation(n=n, bounds=tuple(bounds))
+    return tuple(bounds)
 
 
 def render_segment(doc: TokenizedDocument, token_range: tuple[int, int]) -> str:
@@ -100,25 +86,26 @@ def render_segment(doc: TokenizedDocument, token_range: tuple[int, int]) -> str:
 
 def build_transcript(
     doc: TokenizedDocument,
-    seg: Segmentation,
+    bounds: tuple[tuple[int, int], ...],
     system_prompt: str = DEFAULT_SYSTEM_PROMPT,
 ) -> Transcript:
-    """Build the faux conversation for a segmentation of ``doc``.
+    """Build the faux conversation for ``doc`` split at ``bounds``, token
+    ranges as ``segment`` returns them.
 
     Odd-numbered segments (1st, 3rd, ...) become user turns and even-numbered
     ones assistant turns, except the last segment, which is held out as the
     reference the backend is asked to produce.
     """
-    if not seg.bounds or seg.bounds[0][0] != 0 or seg.bounds[-1][1] != len(doc.tokens):
+    if not bounds or bounds[0][0] != 0 or bounds[-1][1] != len(doc.tokens):
         raise ValueError("segmentation does not cover the document")
-    if any(a[1] != b[0] for a, b in zip(seg.bounds, seg.bounds[1:])):
+    if any(a[1] != b[0] for a, b in zip(bounds, bounds[1:])):
         raise ValueError("segmentation does not cover the document")
 
     turns = tuple(
-        Turn(role=USER if i % 2 == 0 else ASSISTANT, text=render_segment(doc, bounds))
-        for i, bounds in enumerate(seg.bounds[:-1])
+        Turn(role=USER if i % 2 == 0 else ASSISTANT, text=render_segment(doc, token_range))
+        for i, token_range in enumerate(bounds[:-1])
     )
-    reference_text = render_segment(doc, seg.bounds[-1])
+    reference_text = render_segment(doc, bounds[-1])
     return Transcript(
         system_prompt=system_prompt,
         turns=turns,

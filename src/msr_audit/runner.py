@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from msr_audit.corpus import (
     COHORTS,
@@ -137,20 +138,25 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _resolve_backends(
+@contextmanager
+def _cohort_backends(
     config: ExperimentConfig,
     backends: Backend | Mapping[str, Backend] | None,
-) -> dict[str, Backend]:
+) -> Iterator[dict[str, Backend]]:
+    """Map each cohort to its backend. A backend built here from
+    ``config.backend`` is closed on exit; the caller's backends stay open."""
     if backends is None:
-        shared = backend_from_spec(config.backend, base_url=config.base_url)
-        return {cohort: shared for cohort in COHORTS}
+        with closing(backend_from_spec(config.backend, base_url=config.base_url)) as shared:
+            yield {cohort: shared for cohort in COHORTS}
+        return
     if isinstance(backends, Backend):
-        return {cohort: backends for cohort in COHORTS}
+        yield {cohort: backends for cohort in COHORTS}
+        return
     mapping = dict(backends)
     missing = [cohort for cohort in COHORTS if cohort not in mapping]
     if missing:
         raise ValueError(f"backends mapping is missing cohorts: {missing}")
-    return mapping
+    yield mapping
 
 
 def _eligible(corpus: Sequence[Document], config: ExperimentConfig) -> list[TokenizedDocument]:
@@ -164,7 +170,8 @@ def _audit(
     config: ExperimentConfig,
     backend_map: Mapping[str, Backend],
 ) -> AuditReport:
-    """Truncate, segment, generate, score and compare already-tokenized documents."""
+    """Prepare (truncate, segment, transcript), generate and score
+    already-tokenized documents in corpus order, then compare the cohorts."""
     params = GenerationParams(
         model=config.model,
         temperature=config.temperature,
@@ -172,44 +179,43 @@ def _audit(
         seed=config.seed,
     )
     cache = GenerationCache(config.cache_path)
-    failures = 0
 
     if config.truncate_words is not None:
         eligible = [truncate(doc, config.truncate_words) for doc in eligible]
 
-    prepared: dict[str, list[tuple[int, TokenizedDocument, Transcript]]] = {
-        cohort: [] for cohort in COHORTS
-    }
-    for position, doc in enumerate(eligible):
+    prepared: list[tuple[TokenizedDocument, Transcript]] = []
+    for doc in eligible:
         try:
             bounds = segment(doc, config.shots)
             transcript = build_transcript(doc, bounds, system_prompt=config.system_prompt)
         except ValueError as exc:
             logger.warning("skipping document %r: %s", doc.id, exc)
-            failures += 1
             continue
-        prepared[doc.cohort].append((position, doc, transcript))
+        prepared.append((doc, transcript))
 
     for cohort in COHORTS:
-        if not prepared[cohort]:
+        if not any(doc.cohort == cohort for doc, _ in prepared):
             raise CorpusError(f"cohort {cohort!r} is empty after filtering")
 
-    ordered: list[tuple[int, DocumentMatchSummary]] = []
-    cohort_arrays: dict[str, list[FrequencyArray]] = {cohort: [] for cohort in COHORTS}
+    # Scoring each batch as it returns holds one cohort's records at a time;
+    # each summary goes to its document's corpus-order slot.
+    scored: list[DocumentMatchSummary | None] = [None] * len(prepared)
     for cohort in COHORTS:
-        entries = prepared[cohort]
+        slots = [i for i, (doc, _) in enumerate(prepared) if doc.cohort == cohort]
         records = generate_batch(
             backend_map[cohort],
-            [transcript for _, _, transcript in entries],
+            [prepared[i][1] for i in slots],
             params,
             max_in_flight=config.max_in_flight,
             cache=cache,
-            doc_ids=[doc.id for _, doc, _ in entries],
         )
-        for (position, doc, transcript), record in zip(entries, records):
+        for i, record in zip(slots, records):
+            doc, transcript = prepared[i]
             if record.error is not None:
-                failures += 1
+                logger.warning("generation failed for document %r: %s", doc.id, record.error)
                 continue
+            if not record.output_text:
+                logger.warning("empty completion for document %r; will count as zero-match", doc.id)
             text = record.output_text.lower() if config.lowercase else record.output_text
             completion = GeneratedCompletion.from_text(text)
             reference = transcript.reference_tokens
@@ -224,40 +230,32 @@ def _audit(
                 longest = int(lengths.max())
             else:
                 longest = longest_common_substring_len(reference, completion.tokens)
-            ordered.append(
-                (
-                    position,
-                    DocumentMatchSummary(
-                        doc_id=doc.id,
-                        cohort=cohort,
-                        longest_match=longest,
-                        counts=counts,
-                    ),
-                )
+            scored[i] = DocumentMatchSummary(
+                doc_id=doc.id, cohort=cohort, longest_match=longest, counts=counts
             )
-            cohort_arrays[cohort].append(counts)
-
-    for cohort in COHORTS:
-        if not cohort_arrays[cohort]:
+        if all(scored[i] is None for i in slots):
             # Documents were prepared but every generation failed, so this is
             # the backend's fault rather than the corpus's.
-            raise BackendError(
-                f"empty cohort results for {cohort!r}: all {len(prepared[cohort])} generations failed"
-            )
+            raise BackendError(f"empty cohort results for {cohort!r}: all {len(slots)} generations failed")
 
-    f_pre = sum_arrays(cohort_arrays["pre"])
-    f_post = sum_arrays(cohort_arrays["post"])
-    ordered.sort(key=lambda item: item[0])
+    documents = tuple(summary for summary in scored if summary is not None)
+    f_pre, f_post = (
+        sum_arrays([summary.counts for summary in documents if summary.cohort == cohort])
+        for cohort in COHORTS
+    )
+    n_docs_pre = sum(summary.cohort == "pre" for summary in documents)
     return AuditReport(
         config=config,
         created_at=_utcnow(),
         f_pre=f_pre,
         f_post=f_post,
         comparison=compare_cohorts(f_pre, f_post),
-        documents=tuple(summary for _, summary in ordered),
-        failures=failures,
-        n_docs_pre=len(cohort_arrays["pre"]),
-        n_docs_post=len(cohort_arrays["post"]),
+        documents=documents,
+        # Every eligible document is either scored or failed (segmentation
+        # or generation).
+        failures=len(eligible) - len(documents),
+        n_docs_pre=n_docs_pre,
+        n_docs_post=len(documents) - n_docs_pre,
     )
 
 
@@ -272,8 +270,8 @@ def run_audit(
     counted and skipped; an entire cohort coming up empty is an error.
     """
     config.validate()
-    backend_map = _resolve_backends(config, backends)
-    return _audit(_eligible(corpus, config), config, backend_map)
+    with _cohort_backends(config, backends) as backend_map:
+        return _audit(_eligible(corpus, config), config, backend_map)
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
@@ -305,9 +303,9 @@ def sweep(
     configs = {value: replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values}
     for candidate in configs.values():
         candidate.validate()
-    backend_map = _resolve_backends(config, backends)
-    eligible = _eligible(corpus, config)
-    return {value: _audit(eligible, configs[value], backend_map) for value in values}
+    with _cohort_backends(config, backends) as backend_map:
+        eligible = _eligible(corpus, config)
+        return {value: _audit(eligible, configs[value], backend_map) for value in values}
 
 
 def sweep_length(

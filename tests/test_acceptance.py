@@ -149,7 +149,7 @@ def test_criterion_6_length_sweep_contract():
     ok = False
     try:
         doc = _doc(75)
-        assert segment(doc, 6).lengths() == [13, 13, 13, 12, 12, 12]
+        assert [e - s for s, e in segment(doc, 6)] == [13, 13, 13, 12, 12, 12]
         assert ExperimentConfig(l_max=12, truncate_words=75, shots=6).resolved_l_max == 12
         assert ExperimentConfig(l_max=None, truncate_words=75, shots=6).resolved_l_max == 12
 

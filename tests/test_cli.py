@@ -6,7 +6,8 @@ import pytest
 
 from conftest import make_corpus, write_corpus_jsonl
 from stub_server import StubServer
-from msr_audit.cli import main
+from msr_audit.cli import _config_from_args, build_parser, main
+from msr_audit.runner import ExperimentConfig
 
 pytestmark = pytest.mark.usefixtures("_no_live_env")
 
@@ -36,6 +37,14 @@ def _audit_args(pre, post, out, *extra):
         "--lmax", "8",
         *extra,
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["audit", "--pre", "p", "--post", "q"], ["sweep", "shots", "--values", "2", "--pre", "p", "--post", "q"]],
+)
+def test_run_option_defaults_are_the_config_defaults(argv):
+    assert _config_from_args(build_parser().parse_args(argv)) == ExperimentConfig()
 
 
 def test_audit_writes_report_and_prints_comparison(corpus_files, tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+from contextlib import closing
 
 import pytest
 
@@ -26,6 +27,12 @@ from msr_audit.gateway import (
 )
 from msr_audit.matching import maximal_common_substrings
 from msr_audit.prompting import GeneratedCompletion, build_transcript, segment
+
+# A backend must not leave sockets for the garbage collector to close.
+pytestmark = [
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
 
 
 def _transcript(n_words=60, shots=6, tag="w"):
@@ -157,7 +164,6 @@ def test_partial_copy_deterministic_and_call_order_independent():
 
 def _record(key, output="gen text"):
     return GenerationRecord(
-        doc_id="d",
         request_key=key,
         output_text=output,
         backend_name="verbatim",
@@ -197,7 +203,6 @@ def test_cache_round_trips_params(tmp_path):
     path = tmp_path / "cache.jsonl"
     params = GenerationParams(model="m", temperature=0.7, max_tokens=42, seed=9)
     record = GenerationRecord(
-        doc_id="d",
         request_key="k1",
         output_text="out",
         backend_name="partial:0.5",
@@ -332,25 +337,15 @@ def test_generate_uses_cache():
     assert backend.calls == 2
 
 
-def test_generate_warns_on_empty_completion(caplog):
-    class EmptyBackend(VerbatimBackend):
-        def complete(self, transcript, params):
-            return ""
-
-    with caplog.at_level(logging.WARNING):
-        [record] = generate_batch(EmptyBackend(), [_transcript()], GenerationParams(), doc_ids=["doc-w"])
-    completion = GeneratedCompletion.from_text(record.output_text)
-    assert completion.text == "" and completion.tokens == ()
-    assert any("empty completion" in r.message for r in caplog.records)
-
-
-def test_generate_batch_carries_doc_id_on_cache_hit():
+def test_generate_batch_returns_stored_output_on_cache_hit():
     transcript = _transcript()
     cache = GenerationCache()
     params = GenerationParams()
-    generate_batch(VerbatimBackend(), [transcript], params, cache=cache, doc_ids=["first"])
-    [hit] = generate_batch(VerbatimBackend(), [transcript], params, cache=cache, doc_ids=["second"])
-    assert hit.doc_id == "second"
+    backend = CountingBackend(VerbatimBackend())
+    [stored] = generate_batch(backend, [transcript], params, cache=cache)
+    [hit] = generate_batch(backend, [transcript], params, cache=cache)
+    assert backend.calls == 1
+    assert hit is stored
     assert hit.output_text == transcript.reference_text
 
 
@@ -379,13 +374,11 @@ def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
     assert len(calls) == 2
 
 
-def test_generate_batch_alignment_and_doc_ids():
+def test_generate_batch_alignment():
     transcripts = [_transcript(tag=f"t{i}") for i in range(5)]
     params = GenerationParams(seed=1)
-    records = generate_batch(
-        ObliviousBackend(), transcripts, params, max_in_flight=3, doc_ids=[f"d{i}" for i in range(5)]
-    )
-    assert [r.doc_id for r in records] == [f"d{i}" for i in range(5)]
+    records = generate_batch(ObliviousBackend(), transcripts, params, max_in_flight=3)
+    assert len(records) == 5
     for transcript, record in zip(transcripts, records):
         assert record.ok
         assert record.output_text == ObliviousBackend().complete(transcript, params)
@@ -394,7 +387,7 @@ def test_generate_batch_alignment_and_doc_ids():
 def test_generate_batch_captures_per_item_failures():
     transcripts = [_transcript(tag="ok1"), _transcript(tag="bad"), _transcript(tag="ok2")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
-    records = generate_batch(backend, transcripts, GenerationParams(), doc_ids=["a", "b", "c"])
+    records = generate_batch(backend, transcripts, GenerationParams())
     assert [r.ok for r in records] == [True, False, True]
     assert "synthetic failure" in records[1].error
     assert records[0].output_text == transcripts[0].reference_text
@@ -403,8 +396,6 @@ def test_generate_batch_captures_per_item_failures():
 def test_generate_batch_validation_and_empty():
     with pytest.raises(ValueError):
         generate_batch(VerbatimBackend(), [_transcript()], GenerationParams(), max_in_flight=0)
-    with pytest.raises(ValueError):
-        generate_batch(VerbatimBackend(), [_transcript()], GenerationParams(), doc_ids=["a", "b"])
     assert generate_batch(VerbatimBackend(), [], GenerationParams()) == []
 
 
@@ -538,8 +529,7 @@ def test_live_backend_rejects_bad_url(url):
 
 def test_live_backend_reuses_keep_alive_connections():
     transcripts = [_transcript(tag=f"t{i}") for i in range(20)]
-    with StubServer(keep_alive=True) as server:
-        backend = LiveBackend(server.url)
+    with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:
         for half in (transcripts[:10], transcripts[10:]):
             records = generate_batch(backend, half, GenerationParams(), max_in_flight=2)
             assert all(r.ok for r in records)
@@ -547,10 +537,22 @@ def test_live_backend_reuses_keep_alive_connections():
     assert len(set(server.ports)) <= 2
 
 
+def test_live_backend_close_drops_idle_connections():
+    with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:
+        backend.complete(_transcript(), GenerationParams())
+        backend.complete(_transcript(), GenerationParams())
+        backend.close()
+        backend.complete(_transcript(), GenerationParams())
+    assert len(server.requests) == 3
+    first, reused, redialled = server.ports
+    assert reused == first and redialled != first
+
+
 def test_live_backend_redials_a_connection_the_server_closed():
     sleeps = []
-    with StubServer(keep_alive=True, hang_up=True) as server:
-        backend = LiveBackend(server.url, sleep=sleeps.append)
+    with StubServer(keep_alive=True, hang_up=True) as server, closing(
+        LiveBackend(server.url, sleep=sleeps.append)
+    ) as backend:
         for _ in range(3):
             assert backend.complete(_transcript(), GenerationParams()) == "fallback"
     assert sleeps == []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from msr_audit.corpus import Document, tokenize_document
 from msr_audit.prompting import (
     DEFAULT_SYSTEM_PROMPT,
-    Segmentation,
     build_transcript,
     format_transcript,
     render_segment,
@@ -20,15 +19,19 @@ def _doc(n_words, text=None):
     return tokenize_document(Document(id="d", cohort="pre", text=body))
 
 
+def _lengths(bounds):
+    return [end - start for start, end in bounds]
+
+
 def test_segment_75_words_into_6():
-    seg = segment(_doc(75), 6)
-    assert seg.lengths() == [13, 13, 13, 12, 12, 12]
-    assert seg.bounds[0] == (0, 13)
-    assert seg.bounds[-1] == (63, 75)
+    bounds = segment(_doc(75), 6)
+    assert _lengths(bounds) == [13, 13, 13, 12, 12, 12]
+    assert bounds[0] == (0, 13)
+    assert bounds[-1] == (63, 75)
 
 
 def test_segment_even_split():
-    assert segment(_doc(60), 6).lengths() == [10] * 6
+    assert _lengths(segment(_doc(60), 6)) == [10] * 6
 
 
 @given(
@@ -41,15 +44,15 @@ def test_segment_partition_properties(m, half_n):
         with pytest.raises(ValueError):
             segment(_doc(m), n)
         return
-    seg = segment(_doc(m), n)
-    lengths = seg.lengths()
+    bounds = segment(_doc(m), n)
+    lengths = _lengths(bounds)
     assert len(lengths) == n
     assert sum(lengths) == m
     assert max(lengths) - min(lengths) <= 1
     assert lengths == sorted(lengths, reverse=True)  # remainder goes to the front
     # bounds tile [0, m) with no gaps
-    assert seg.bounds[0][0] == 0 and seg.bounds[-1][1] == m
-    assert all(a[1] == b[0] for a, b in zip(seg.bounds, seg.bounds[1:]))
+    assert bounds[0][0] == 0 and bounds[-1][1] == m
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5, 7])
@@ -65,9 +68,9 @@ def test_segment_rejects_short_documents():
 
 def test_render_segment_is_exact_slice():
     doc = _doc(0, text="a  b\tc   d e")
-    seg = segment(doc, 4)  # [2, 1, 1, 1]
-    assert render_segment(doc, seg.bounds[0]) == "a  b"
-    assert render_segment(doc, seg.bounds[1]) == "c"
+    bounds = segment(doc, 4)  # [2, 1, 1, 1]
+    assert render_segment(doc, bounds[0]) == "a  b"
+    assert render_segment(doc, bounds[1]) == "c"
     assert render_segment(doc, (0, 5)) == "a  b\tc   d e"
     with pytest.raises(ValueError):
         render_segment(doc, (0, 6))
@@ -95,8 +98,8 @@ def test_build_transcript_custom_system_prompt():
 
 def test_build_transcript_turns_reassemble_document():
     doc = _doc(59)
-    seg = segment(doc, 6)
-    transcript = build_transcript(doc, seg)
+    bounds = segment(doc, 6)
+    transcript = build_transcript(doc, bounds)
     pieces = [turn.text for turn in transcript.turns] + [transcript.reference_text]
     assert " ".join(pieces) == doc.text
 
@@ -104,11 +107,11 @@ def test_build_transcript_turns_reassemble_document():
 def test_build_transcript_rejects_bad_segmentation():
     doc = _doc(10)
     with pytest.raises(ValueError, match="cover"):
-        build_transcript(doc, Segmentation(n=2, bounds=((0, 4), (5, 10))))  # gap
+        build_transcript(doc, ((0, 4), (5, 10)))  # gap
     with pytest.raises(ValueError, match="cover"):
-        build_transcript(doc, Segmentation(n=2, bounds=((0, 4), (4, 9))))  # short
+        build_transcript(doc, ((0, 4), (4, 9)))  # short
     with pytest.raises(ValueError, match="cover"):
-        build_transcript(doc, Segmentation(n=0, bounds=()))
+        build_transcript(doc, ())
 
 
 @given(st.integers(min_value=8, max_value=200), st.sampled_from([2, 4, 6, 8]))
@@ -116,9 +119,9 @@ def test_reference_tokens_match_final_segment(m, n):
     if m < n:
         return
     doc = _doc(m)
-    seg = segment(doc, n)
-    transcript = build_transcript(doc, seg)
-    start, end = seg.bounds[-1]
+    bounds = segment(doc, n)
+    transcript = build_transcript(doc, bounds)
+    start, end = bounds[-1]
     assert transcript.reference_tokens == doc.token_texts[start:end]
 
 
@@ -129,9 +132,9 @@ def test_reference_tokens_split_on_unicode_whitespace(n):
     body = "\u2028" + "".join(w + separators[i % len(separators)] for i, w in enumerate(words))
     doc = _doc(0, text=body)
     assert doc.token_texts == tuple(words)
-    seg = segment(doc, n)
-    start, end = seg.bounds[-1]
-    transcript = build_transcript(doc, seg)
+    bounds = segment(doc, n)
+    start, end = bounds[-1]
+    transcript = build_transcript(doc, bounds)
     assert transcript.reference_tokens == doc.token_texts[start:end]
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import replace
 
 import pytest
 
+import msr_audit.runner as runner
 from conftest import CountingBackend, FailingBackend, make_corpus, synthetic_text
 from oracles import oracle_rows
+from stub_server import StubServer
 from msr_audit.corpus import CorpusError, Document
 from msr_audit.gateway import (
     Backend,
@@ -136,6 +139,53 @@ def test_run_audit_counts_generation_failures(small_corpus, small_config):
     assert "pre-0" not in [d.doc_id for d in report.documents]
 
 
+def test_run_audit_logs_failed_generation_with_document_id(small_corpus, small_config, caplog):
+    backends = {
+        "pre": FailingBackend(VerbatimBackend(), marker="p0w"),
+        "post": ObliviousBackend(),
+    }
+    with caplog.at_level(logging.WARNING):
+        run_audit(small_corpus, small_config, backends=backends)
+    assert any("generation failed for document 'pre-0'" in r.message for r in caplog.records)
+
+
+def test_run_audit_warns_on_empty_completion(small_corpus, small_config, caplog):
+    class EmptyForP1(VerbatimBackend):
+        def complete(self, transcript, params):
+            return "" if "p1w" in transcript.reference_text else transcript.reference_text
+
+    with caplog.at_level(logging.WARNING):
+        report = run_audit(small_corpus, small_config, backends=EmptyForP1())
+    messages = [r.message for r in caplog.records if "empty completion" in r.message]
+    assert messages == ["empty completion for document 'pre-1'; will count as zero-match"]
+    [empty] = [d for d in report.documents if d.doc_id == "pre-1"]
+    assert empty.longest_match == 0 and empty.counts.counts == (0,) * 7
+    assert report.failures == 0
+
+
+def test_run_audit_interleaved_corpus_keeps_corpus_order(small_corpus, small_config):
+    pre = [d for d in small_corpus if d.cohort == "pre"]
+    post = [d for d in small_corpus if d.cohort == "post"]
+    interleaved = [doc for pair in zip(post, pre) for doc in pair]  # post-0, pre-0, post-1, ...
+    backends = {"pre": PartialCopyBackend(0.5), "post": PartialCopyBackend(0.2)}
+    grouped = run_audit(small_corpus, small_config, backends=backends)
+    mixed = run_audit(interleaved, small_config, backends=backends)
+    assert [d.doc_id for d in mixed.documents] == [d.id for d in interleaved]
+    assert sorted(mixed.documents, key=lambda d: d.doc_id) == sorted(grouped.documents, key=lambda d: d.doc_id)
+    assert mixed.f_pre == grouped.f_pre and mixed.f_post == grouped.f_post
+    assert mixed.comparison == grouped.comparison
+
+
+def test_run_audit_cohort_emptied_by_segmentation_sends_no_request(small_config):
+    corpus = make_corpus(n_pre=0, n_post=3, words=120) + [
+        Document(id="short-pre", cohort="pre", text=synthetic_text("sp", 55)),
+    ]
+    counting = {"pre": CountingBackend(VerbatimBackend()), "post": CountingBackend(ObliviousBackend())}
+    with pytest.raises(CorpusError, match="'pre' is empty"):
+        run_audit(corpus, replace(small_config, shots=60), backends=counting)  # 55 words < 60 segments
+    assert counting["pre"].calls == 0 and counting["post"].calls == 0
+
+
 def test_run_audit_empty_cohort_after_filter_is_data_error(small_config):
     corpus = make_corpus(n_pre=2, n_post=2, words=120)
     with pytest.raises(CorpusError, match="empty after filtering"):
@@ -154,6 +204,47 @@ def test_run_audit_all_generations_failing_is_backend_error(small_corpus, small_
 def test_run_audit_rejects_incomplete_backend_mapping(small_corpus, small_config):
     with pytest.raises(ValueError, match="missing cohorts"):
         run_audit(small_corpus, small_config, backends={"pre": VerbatimBackend()})
+
+
+class ClosingBackend(VerbatimBackend):
+    def __init__(self) -> None:
+        self.closed = 0
+
+    def close(self) -> None:
+        self.closed += 1
+
+
+def test_run_audit_and_sweep_close_the_backend_they_build(small_corpus, small_config, monkeypatch):
+    built = []
+
+    def build(spec, base_url=None):
+        built.append(ClosingBackend())
+        return built[-1]
+
+    monkeypatch.setattr(runner, "backend_from_spec", build)
+    run_audit(small_corpus, small_config)
+    sweep(small_corpus, small_config, "shots", [2, 4])
+    with pytest.raises(CorpusError):
+        run_audit(small_corpus, replace(small_config, min_words=500))
+    with pytest.raises(CorpusError):
+        sweep(small_corpus, replace(small_config, min_words=500), "shots", [2, 4])
+    assert [backend.closed for backend in built] == [1, 1, 1, 1]
+
+
+def test_run_audit_and_sweep_leave_caller_backends_open(small_corpus, small_config):
+    shared = ClosingBackend()
+    run_audit(small_corpus, small_config, backends=shared)
+    sweep(small_corpus, small_config, "shots", [2, 4], backends={"pre": shared, "post": shared})
+    assert shared.closed == 0
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+def test_run_audit_closes_its_live_connections(small_corpus, small_config):
+    with StubServer(keep_alive=True) as server:
+        config = replace(small_config, backend="live", base_url=server.url, max_in_flight=2)
+        report = run_audit(small_corpus, config)
+    assert report.n_docs_pre == 3 and report.n_docs_post == 3
+    assert len(server.requests) == 6
 
 
 def test_run_audit_truncation_shortens_references(small_corpus, small_config):
