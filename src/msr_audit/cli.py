@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import ExitStack, closing
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -64,7 +65,11 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--truncate", dest="truncate_words", type=int, metavar="L", help="cap every document at L words"
     )
     parser.add_argument(
-        "--concurrency", dest="max_in_flight", type=int, metavar="CONCURRENCY", help="max in-flight completions"
+        "--concurrency",
+        dest="max_in_flight",
+        type=int,
+        metavar="CONCURRENCY",
+        help="max in-flight requests to a backend that waits on I/O (live); the mocks run inline",
     )
     parser.add_argument("--cache", dest="cache_path", metavar="PATH", help="JSONL completion cache")
     parser.add_argument("--seed", type=int, help="seed for the mock backends")
@@ -134,18 +139,21 @@ def _load_cohorts(args: argparse.Namespace) -> list:
     return pre + post
 
 
-def _cohort_backends(args: argparse.Namespace) -> dict[str, Backend] | None:
+def _cohort_backends(args: argparse.Namespace, stack: ExitStack) -> dict[str, Backend] | None:
+    """The --backend-pre/--backend-post backends, closed when ``stack`` exits;
+    None leaves ``run_audit``/``sweep`` to build (and close) ``--backend``."""
     if not args.backend_pre and not args.backend_post:
         return None
     return {
-        "pre": backend_from_spec(args.backend_pre or args.backend, base_url=args.base_url),
-        "post": backend_from_spec(args.backend_post or args.backend, base_url=args.base_url),
+        cohort: stack.enter_context(closing(backend_from_spec(spec or args.backend, base_url=args.base_url)))
+        for cohort, spec in (("pre", args.backend_pre), ("post", args.backend_post))
     }
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     corpus = _load_cohorts(args)
-    report = run_audit(corpus, _config_from_args(args), backends=_cohort_backends(args))
+    with ExitStack() as stack:
+        report = run_audit(corpus, _config_from_args(args), backends=_cohort_backends(args, stack))
     paths = emit_report(report, args.out)
     print(json.dumps(asdict(report.comparison), sort_keys=True))
     print(f"wrote {paths['summary']}")
@@ -171,13 +179,14 @@ def _parse_values(raw: Sequence[str], cast: Callable) -> list:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cast = float if args.dimension == "temperature" else int
-    results = sweep(
-        _load_cohorts(args),
-        _config_from_args(args),
-        args.dimension,
-        _parse_values(args.values, cast),
-        backends=_cohort_backends(args),
-    )
+    with ExitStack() as stack:
+        results = sweep(
+            _load_cohorts(args),
+            _config_from_args(args),
+            args.dimension,
+            _parse_values(args.values, cast),
+            backends=_cohort_backends(args, stack),
+        )
     contrast = low_vs_high(results) if args.dimension == "temperature" else None
 
     out = Path(args.out)

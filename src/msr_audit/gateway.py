@@ -108,10 +108,16 @@ def request_key(backend: Backend, transcript: Transcript, params: GenerationPara
 
 
 class Backend:
-    """Produces completion text for a transcript."""
+    """Produces completion text for a transcript.
+
+    ``waits_on_io`` marks a backend whose ``complete`` spends its time
+    waiting on the network; only such a backend gets a thread pool in
+    ``generate_batch``.
+    """
 
     name = "backend"
     uses_seed = False
+    waits_on_io = False
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         raise NotImplementedError
@@ -213,6 +219,7 @@ class LiveBackend(Backend):
     """
 
     name = "live"
+    waits_on_io = True
 
     def __init__(
         self,
@@ -461,8 +468,12 @@ def generate_batch(
     max_in_flight: int = 4,
     cache: GenerationCache | None = None,
 ) -> list[GenerationRecord]:
-    """Complete many transcripts with at most ``max_in_flight`` outstanding.
+    """Complete many transcripts, in order, one record per transcript.
 
+    A backend that waits on I/O (``waits_on_io``, the live backend) gets a
+    thread pool with at most ``max_in_flight`` requests outstanding. Any
+    other backend, such as the mocks, is CPU-bound and runs inline on the
+    caller's thread, since threads would only pass the GIL back and forth.
     Outputs align index-wise with the inputs regardless of completion order.
     Cached entries are not re-requested. Per-item failures are captured on
     the record (``error`` set), never cached, and never abort the batch.
@@ -494,7 +505,7 @@ def generate_batch(
             return cache.store(record)
         return record
 
-    if not transcripts:
-        return []
+    if not backend.waits_on_io:
+        return list(map(one, transcripts))
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(one, transcripts))

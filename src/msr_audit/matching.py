@@ -176,6 +176,32 @@ def longest_common_substring_len(ref_tokens: Sequence[str], gen_tokens: Sequence
     return int(maximal_common_substrings(ref_tokens, gen_tokens)[:, 0].max(initial=0))
 
 
+def longest_match_below(ref_tokens: Sequence[str], gen_tokens: Sequence[str], bound: int) -> int:
+    """The longest common run's length in words, capped at ``bound - 1``.
+
+    For ``bound >= 1`` it equals
+    ``min(longest_common_substring_len(ref, gen), bound - 1)``. The
+    audit calls it for a pair with no run of ``bound`` words, where it is the
+    longest match itself. It tries q = ``bound - 1`` down to 1 and returns
+    the first q at which the two sides share a q-gram key (``_qgram_keys``
+    on one interned id array), so it never lists the matches themselves. A
+    shared key is found by ``np.sort`` + ``np.searchsorted``, not
+    ``np.intersect1d``, whose first call imports ``numpy.ma``.
+    """
+    n_ref = len(ref_tokens)
+    top = min(bound - 1, n_ref, len(gen_tokens))
+    if top < 1:
+        return 0
+    ids, n_ids = _intern(ref_tokens, gen_tokens)
+    for q in range(top, 0, -1):
+        keys = _qgram_keys(ids, n_ids, q)
+        key_a, key_b = keys[: n_ref - q + 1], np.sort(keys[n_ref:])
+        found = np.searchsorted(key_b, key_a).clip(max=len(key_b) - 1)
+        if (key_b[found] == key_a).any():
+            return q
+    return 0
+
+
 def frequency_array(
     lengths: Sequence[int] | np.ndarray,
     l_min: int,

@@ -36,7 +36,7 @@ from msr_audit.gateway import (
 from msr_audit.matching import (
     FrequencyArray,
     frequency_array,
-    longest_common_substring_len,
+    longest_match_below,
     maximal_common_substrings,
     sum_arrays,
 )
@@ -229,7 +229,7 @@ def _audit(
             if len(lengths):
                 longest = int(lengths.max())
             else:
-                longest = longest_common_substring_len(reference, completion.tokens)
+                longest = longest_match_below(reference, completion.tokens, config.l_min)
             scored[i] = DocumentMatchSummary(
                 doc_id=doc.id, cohort=cohort, longest_match=longest, counts=counts
             )

@@ -103,6 +103,22 @@ def test_audit_backend_failure_exit_3(corpus_files, tmp_path, capsys):
     assert "empty cohort results" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("command", ["audit", "sweep"])
+def test_per_cohort_live_backends_are_closed(corpus_files, tmp_path, command):
+    pre, post = corpus_files
+    with StubServer(keep_alive=True) as server:
+        argv = _audit_args(
+            pre, post, tmp_path / "r",
+            "--backend", "live", "--backend-pre", "live", "--backend-post", "live",
+            "--base-url", server.url, "--concurrency", "2",
+        )
+        if command == "sweep":
+            argv = ["sweep", "shots", "--values", "2,6", *argv[1:]]
+        assert main(argv) == 0
+    assert len(server.requests) == (6 if command == "audit" else 12)
+
+
 def test_audit_live_without_url_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     assert main(_audit_args(pre, post, tmp_path / "r", "--backend", "live")) == 1

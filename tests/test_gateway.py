@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import threading
 from contextlib import closing
 
 import pytest
@@ -11,6 +12,7 @@ from conftest import CountingBackend, FailingBackend
 from stub_server import StubServer, completion_body
 from msr_audit.corpus import Document, tokenize_document
 from msr_audit.gateway import (
+    Backend,
     BackendError,
     GenerationCache,
     GenerationParams,
@@ -409,6 +411,40 @@ def test_generate_batch_skips_cached_entries():
     records = generate_batch(backend, transcripts, params, cache=cache)
     assert backend.calls == 6
     assert all(r.ok for r in records)
+    assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
+
+
+# -------------------------------------------------------------- batch dispatch
+
+
+def test_generate_batch_runs_cpu_bound_backends_on_the_calling_thread():
+    threads = []
+
+    class ThreadRecording(VerbatimBackend):
+        def complete(self, transcript, params):
+            threads.append(threading.get_ident())
+            return super().complete(transcript, params)
+
+    transcripts = [_transcript(tag=f"t{i}") for i in range(4)]
+    records = generate_batch(ThreadRecording(), transcripts, GenerationParams(), max_in_flight=4)
+    assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
+    assert threads == [threading.get_ident()] * 4
+
+
+def test_generate_batch_overlaps_backends_that_wait_on_io():
+    assert LiveBackend.waits_on_io and not VerbatimBackend.waits_on_io
+    barrier = threading.Barrier(2, timeout=5)
+
+    class Rendezvous(Backend):
+        name = "rendezvous"
+        waits_on_io = True
+
+        def complete(self, transcript, params):
+            barrier.wait()  # returns only once both requests are in flight
+            return transcript.reference_text
+
+    transcripts = [_transcript(tag="a"), _transcript(tag="b")]
+    records = generate_batch(Rendezvous(), transcripts, GenerationParams(), max_in_flight=2)
     assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
 
 

@@ -17,6 +17,7 @@ from msr_audit.matching import (
     _qgram_keys,
     frequency_array,
     longest_common_substring_len,
+    longest_match_below,
     maximal_common_substrings,
     sum_arrays,
 )
@@ -195,6 +196,56 @@ def test_side_shorter_than_min_length_gives_no_rows(ref, gen):
 def test_longest_common_substring_len():
     assert longest_common_substring_len("a b c".split(), "b c d".split()) == 2
     assert longest_common_substring_len(["a"], ["b"]) == 0
+
+
+def _zipf_pair(seed, vocab=60):
+    """A Zipf-like reference (s = 1.1) and a completion that copies some of
+    its chunks and draws the rest afresh; lengths 0-80 words."""
+    rng = random.Random(seed)
+    words = [f"w{r}" for r in range(vocab)]
+    weights = [r**-1.1 for r in range(1, vocab + 1)]
+    ref = rng.choices(words, weights, k=rng.randrange(81))
+    gen = []
+    target = rng.randrange(81)
+    while len(gen) < target:
+        chunk = rng.randint(1, 9)
+        if ref and rng.random() < 0.3:
+            start = rng.randrange(len(ref))
+            gen.extend(ref[start : start + chunk])
+        else:
+            gen.extend(rng.choices(words, weights, k=chunk))
+    return ref, gen
+
+
+def test_longest_match_below_is_the_capped_oracle_on_zipf_pairs():
+    for seed in range(40):
+        ref, gen = _zipf_pair(seed)
+        longest = longest_common_substring_len(ref, gen)
+        for bound in range(1, 13):
+            assert longest_match_below(ref, gen, bound) == min(longest, bound - 1), (seed, bound)
+
+
+@given(token_lists, token_lists, st.integers(min_value=1, max_value=16))
+def test_longest_match_below_is_the_capped_oracle(ref, gen, bound):
+    expected = min(max((row[0] for row in oracle_rows(ref, gen)), default=0), bound - 1)
+    assert longest_match_below(ref, gen, bound) == expected
+
+
+@pytest.mark.parametrize(
+    ("ref", "gen", "bound", "expected"),
+    [
+        pytest.param("a b c".split(), [], 5, 0, id="empty-completion"),
+        pytest.param([], "a b c".split(), 5, 0, id="empty-reference"),
+        pytest.param("a b c".split(), "a b c".split(), 1, 0, id="l_min-1"),
+        pytest.param("a b".split(), "x a b y".split(), 5, 2, id="ref-shorter-than-q"),
+        pytest.param("x a b c y".split(), "c a b".split(), 5, 2, id="gen-shorter-than-q"),
+        pytest.param("a b c d e f".split(), "a b c d e f".split(), 5, 4, id="run-reaches-bound"),
+        pytest.param("a b c".split(), "d e f".split(), 5, 0, id="no-common-token"),
+    ],
+)
+def test_longest_match_below_edge_cases(ref, gen, bound, expected):
+    assert longest_match_below(ref, gen, bound) == expected
+    assert type(longest_match_below(ref, gen, bound)) is int
 
 
 def test_kernel_is_fast_on_512_tokens():
