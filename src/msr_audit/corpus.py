@@ -1,15 +1,13 @@
 """Loading, validation, tokenization and trimming of cohort-labeled corpora.
 
 A corpus file is UTF-8 JSON lines, one document per line with required fields
-"id", "text" and "cohort" ("pre" | "post"), plus optional "source" and
-"published_at" (ISO-8601 date).
+"id", "text" and "cohort" ("pre" | "post"); other fields are ignored.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +31,6 @@ class Document:
     id: str
     cohort: str
     text: str
-    source: str | None = None
-    published_at: date | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -49,9 +45,10 @@ class Document:
 class TokenizedDocument:
     """Word-token view of a document.
 
-    ``tokens`` is a read-only (n, 2) integer array of half-open character
-    spans into ``text``, one row per word, so ``len(tokens)`` is the word
-    count. Equality is identity, as numpy arrays have no single truth value.
+    ``tokens`` is a read-only (n, 2) int32 array of half-open character
+    spans into ``text``, one row per word (8 bytes a word), so
+    ``len(tokens)`` is the word count. Equality is identity, as numpy arrays
+    have no single truth value.
     """
 
     id: str
@@ -59,24 +56,24 @@ class TokenizedDocument:
     text: str
     tokens: np.ndarray
 
-    @property
-    def token_texts(self) -> tuple[str, ...]:
-        return tuple(self.text[start:end] for start, end in self.tokens.tolist())
-
 
 def tokenize(text: str) -> np.ndarray:
     """Spans of the maximal runs of non-whitespace characters in ``text``.
 
-    Returns a read-only (n, 2) integer array of half-open [start, end)
-    character offsets, left to right. Whitespace is what ``str.isspace``
-    says, so ``text.split()`` yields exactly the words the spans cover. Case
-    is preserved and punctuation stays attached to its word, so matching
-    downstream is strictly verbatim. Empty text yields shape (0, 2).
+    Returns a read-only (n, 2) int32 array of half-open [start, end)
+    code-point offsets, left to right: 8 bytes a word. Whitespace is what
+    ``str.isspace`` says, so ``text.split()`` yields exactly the words the
+    spans cover. Case is preserved and punctuation stays attached to its
+    word, so matching downstream is strictly verbatim. Empty text yields
+    shape (0, 2). A text of 2**31 or more code points, whose offsets int32
+    cannot hold, raises ``CorpusError``.
     """
+    if len(text) >= 2**31:
+        raise CorpusError(f"text has {len(text)} code points; int32 token offsets need fewer than 2**31")
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     space = np.ones(len(codes) + 2, dtype=bool)
     _IS_SPACE.take(codes, out=space[1:-1], mode="clip")
-    spans = np.flatnonzero(np.diff(space)).reshape(-1, 2)
+    spans = np.flatnonzero(np.diff(space)).astype(np.int32).reshape(-1, 2)
     spans.flags.writeable = False
     return spans
 
@@ -105,23 +102,8 @@ def _parse_record(raw: dict, lineno: int, cohort_override: str | None) -> Docume
     if cohort_override is None and "cohort" not in raw:
         raise CorpusError(f"line {lineno}: missing required field 'cohort'")
     cohort = cohort_override if cohort_override is not None else raw["cohort"]
-    source = raw.get("source")
-    if source is not None and not isinstance(source, str):
-        raise CorpusError(f"line {lineno}: field 'source' must be a string")
-    published_at = None
-    if raw.get("published_at") is not None:
-        try:
-            published_at = date.fromisoformat(raw["published_at"])
-        except (TypeError, ValueError) as exc:
-            raise CorpusError(f"line {lineno}: bad 'published_at': {exc}") from exc
     try:
-        return Document(
-            id=raw["id"],
-            cohort=cohort,
-            text=raw["text"],
-            source=source,
-            published_at=published_at,
-        )
+        return Document(id=raw["id"], cohort=cohort, text=raw["text"])
     except CorpusError as exc:
         raise CorpusError(f"line {lineno}: {exc}") from exc
 

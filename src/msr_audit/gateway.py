@@ -66,10 +66,6 @@ class GenerationRecord:
     created_at: str
     error: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")

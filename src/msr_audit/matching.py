@@ -10,6 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
+# Most equal q-gram pairs the match kernel lists at once (see _blocks); its
+# per-block arrays then stay near 18 MB.
+_BLOCK = 2**20
+
 
 @dataclass(frozen=True)
 class FrequencyArray:
@@ -74,8 +78,56 @@ def _diagonal_order(i: np.ndarray, j: np.ndarray, n_ref: int) -> np.ndarray:
     return np.argsort((j.astype(np.int64) - i) * n_ref + i)
 
 
+def _blocks(counts: np.ndarray, n_pairs: int) -> list[slice]:
+    """Ref rows, given their pair counts (``n_pairs`` in all), split into
+    consecutive ranges of at most ``_BLOCK`` pairs each. A row with more
+    pairs than that is a range by itself."""
+    if n_pairs <= _BLOCK:
+        return [slice(0, len(counts))]
+    ends = np.cumsum(counts)
+    edges = [0]
+    while edges[-1] < len(ends):
+        start = edges[-1]
+        done = ends[start - 1] if start else 0
+        edges.append(max(int(np.searchsorted(ends, done + _BLOCK, "right")), start + 1))
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _run_bounds(
+    rows: slice,
+    counts: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    order: np.ndarray,
+    a_pad: np.ndarray,
+    b_pad: np.ndarray,
+    q: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run starts and run ends among the equal pairs of the ref rows
+    ``rows``, as arrays start_i, start_j, end_i, end_j in (i, j) order.
+    Row i has ``counts[i]`` pairs, whose gen positions are
+    ``order[lo[i] : hi[i]]``."""
+    counts, lo, hi = counts[rows], lo[rows], hi[rows]
+    pair_i = np.repeat(np.arange(rows.start, rows.stop, dtype=np.int32), counts)
+    # i's pairs take the slots lo[i] .. hi[i] - 1 of order, one after the
+    # other: a running sum of int32 steps that jumps at each i's first pair.
+    # Every partial sum is a slot, so none overflows.
+    hit = counts > 0
+    lo, hi, counts = lo[hit], hi[hit], counts[hit]
+    slot = np.ones(len(pair_i), dtype=np.int32)
+    slot[np.cumsum(counts) - counts] = lo - np.concatenate(([0], hi[:-1] - 1))
+    pair_j = order[np.cumsum(slot, out=slot)]
+    del slot
+    is_start = a_pad[pair_i] != b_pad[pair_j]
+    is_end = a_pad[q + 1 :][pair_i] != b_pad[q + 1 :][pair_j]
+    return pair_i[is_start], pair_j[is_start], pair_i[is_end], pair_j[is_end]
+
+
 def _matches(lengths: np.ndarray, start_i: np.ndarray, start_j: np.ndarray) -> np.ndarray:
-    matches = np.stack((lengths, start_i, start_j), axis=1)
+    # Filled column by column: np.stack's own overhead is a few microseconds,
+    # a noticeable share of the kernel on short pairs.
+    matches = np.empty((len(lengths), 3), dtype=np.int32)
+    matches[:, 0], matches[:, 1], matches[:, 2] = lengths, start_i, start_j
     matches.flags.writeable = False
     return matches
 
@@ -97,25 +149,31 @@ def maximal_common_substrings(
     Works on the sparse set of equal q-gram pairs (q = ``min_length``)
     instead of the full n x m equality matrix (n = len(ref), m = len(gen)).
     Each q-gram gets an exact integer key (``_qgram_keys``); at q = 1 the key
-    is the interned token id. A sort-join of the keys (argsort + searchsorted
-    + repeat) lists every pair (i, j) whose q-grams at i and j are equal, in
-    (i, j) order. A pair starts a run when the tokens before it,
-    (i - 1, j - 1), are off-grid or unequal, and ends one when the tokens
-    after it, (i + q, j + q), are. A run of r such pairs on one diagonal is
-    one maximal match of r + q - 1 words. Runs on one diagonal j - i are
-    disjoint, so once starts and ends are each sorted by (diagonal, i) the
-    k-th start and the k-th end bound the same run. Starts keep their (i, j)
+    is the interned token id. A sort-join of the keys (argsort +
+    searchsorted) gives each ref position i the gen positions j whose q-gram
+    equals its own, and so each row i's pair count. The pairs (i, j) are
+    listed (repeat + a running sum) in (i, j) order one block at a time: a
+    block is a range of consecutive rows with at most ``_BLOCK`` pairs in
+    all, or a single row with more. A pair starts a run when the tokens
+    before it, (i - 1, j - 1), are off-grid or unequal, and ends one when the
+    tokens after it, (i + q, j + q), are; a block keeps only its run starts
+    and ends. A run of r such pairs on one diagonal is one maximal match of
+    r + q - 1 words. Runs on one diagonal j - i are disjoint, so once the
+    starts and ends of all blocks are each sorted by (diagonal, i) the k-th
+    start and the k-th end bound the same run. Starts keep their (i, j)
     order, so the result needs no final sort.
 
-    With P equal q-gram pairs this takes O(q (n + m) + P log P) time and
-    O(n + m + P) memory, held in int32 arrays (keys are int64 for q > 1).
-    For words drawn with frequencies p_w, P at q = 1 is about
-    n * m * sum(p_w ** 2), far below n * m; a larger q keeps only the pairs
-    that begin a common q-gram, which drops the single frequent words that
-    dominate it. The worst case is one token filling both sides: every
-    q-gram is then equal too, so P is about n * m at any q: at 2048 x 2048
-    tokens the kernel takes 120-155 ms and peaks near 76 MB (tracemalloc) at
-    q = 1 and at q = 5 alike, where a dense DP table needs about 29 MB.
+    With P equal q-gram pairs and R runs this takes O(q (n + m) + P log P)
+    time and O(n + m + min(P, _BLOCK) + R) memory, held in int32 arrays
+    (keys are int64 for q > 1); a single row holds at most m pairs. For
+    words drawn with frequencies p_w, P at q = 1 is about
+    n * m * sum(p_w ** 2), far below n * m, so an ordinary pair is one
+    block; a larger q keeps only the pairs that begin a common q-gram, which
+    drops the single frequent words that dominate it. The worst case is one
+    token filling both sides: every q-gram is then equal too, so P is about
+    n * m at any q while R is only about n + m. There the kernel
+    peaks near 18 MB (tracemalloc) at 2048 x 2048 and at 4096 x 4096 tokens,
+    at q = 1 and q = 5 alike, and takes about 0.15 s and 0.7 s.
     """
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
@@ -141,25 +199,13 @@ def maximal_common_substrings(
     n_pairs = int(counts.sum())
     if n_pairs == 0:
         return _matches(none, none, none)
-    pair_i = np.repeat(np.arange(len(key_a), dtype=np.int32), counts)
-    # i's pairs take the slots lo[i] .. hi[i] - 1 of sorted_b, one after the
-    # other: a running sum of int32 steps that jumps at each i's first pair.
-    # Every partial sum is a slot, so none overflows.
-    hit = counts > 0
-    lo, hi, counts = lo[hit], hi[hit], counts[hit]
-    slot = np.ones(n_pairs, dtype=np.int32)
-    slot[np.cumsum(counts) - counts] = lo - np.concatenate(([0], hi[:-1] - 1))
-    pair_j = order[np.cumsum(slot, out=slot)]
-    del slot
 
     # Distinct sentinels past both ends make off-grid neighbours unequal:
     # pad[i] is the token before position i, pad[q + 1:][i] the one q after it.
     a_pad = np.concatenate(([-1], a, [-1]), dtype=np.int32)
     b_pad = np.concatenate(([-2], b, [-2]), dtype=np.int32)
-    is_start = a_pad[pair_i] != b_pad[pair_j]
-    is_end = a_pad[q + 1 :][pair_i] != b_pad[q + 1 :][pair_j]
-    start_i, start_j = pair_i[is_start], pair_j[is_start]
-    end_i, end_j = pair_i[is_end], pair_j[is_end]
+    blocks = [_run_bounds(rows, counts, lo, hi, order, a_pad, b_pad, q) for rows in _blocks(counts, n_pairs)]
+    start_i, start_j, end_i, end_j = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
 
     # The k-th start and the k-th end of one diagonal bound the same run.
     by_diag_start = _diagonal_order(start_i, start_j, n_ref)

@@ -7,6 +7,7 @@ ends on each diagonal in vectorised numpy; rank statistics are computed with
 exact fractions and the textbook rank-sum formula, and tail probabilities
 come from mpmath / the erfc closed form rather than scipy. Token spans come
 from a regex scan rather than a lookup table over code points.
+``token_texts`` reads a tokenized document's words off its spans.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ class MaximalMatch(NamedTuple):
     length: int
     pos_ref: int
     pos_gen: int
+
+
+def token_texts(doc) -> tuple[str, ...]:
+    """The words a ``TokenizedDocument``'s spans cover, in order."""
+    return tuple(doc.text[start:end] for start, end in doc.tokens.tolist())
 
 
 def oracle_token_spans(text: str) -> list[tuple[int, int]]:

@@ -3,12 +3,12 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
-from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import oracle_token_spans
+from oracles import oracle_token_spans, token_texts
 
 from msr_audit.corpus import (
     CorpusError,
@@ -36,6 +36,18 @@ def test_tokenize_basic_spans():
 def test_tokenize_empty_and_whitespace_only():
     assert tokenize("").shape == (0, 2)
     assert tokenize("  \t\n ").shape == (0, 2)
+
+
+class _LongText(str):
+    """A short string that reports 2**31 code points."""
+
+    def __len__(self):
+        return 2**31
+
+
+def test_tokenize_rejects_text_past_int32_offsets():
+    with pytest.raises(CorpusError, match="2\\*\\*31"):
+        tokenize(_LongText("a b"))
 
 
 def test_tokenize_keeps_punctuation_attached():
@@ -89,6 +101,7 @@ def test_tokenize_document_memory_and_read_only():
     finally:
         tracemalloc.stop()
     assert len(tokenized.tokens) == 8000
+    assert tokenized.tokens.dtype == np.int32
     assert peak < 1_000_000, f"tokenize_document peaked at {peak} bytes"
     assert not tokenized.tokens.flags.writeable
     with pytest.raises(ValueError):
@@ -107,9 +120,9 @@ def test_document_validation():
 
 def test_tokenize_document_lowercase_flag():
     doc = Document(id="a", cohort="pre", text="The CAT Sat")
-    assert tokenize_document(doc).token_texts == ("The", "CAT", "Sat")
+    assert token_texts(tokenize_document(doc)) == ("The", "CAT", "Sat")
     lowered = tokenize_document(doc, lowercase=True)
-    assert lowered.token_texts == ("the", "cat", "sat")
+    assert token_texts(lowered) == ("the", "cat", "sat")
     assert lowered.text == "the cat sat"
 
 
@@ -132,9 +145,7 @@ def test_load_corpus_round_trip(tmp_path):
     path = _write_lines(tmp_path / "c.jsonl", [json.dumps(r) for r in records])
     docs = load_corpus(path)
     assert [d.id for d in docs] == ["a", "b"]
-    assert docs[0].cohort == "pre" and docs[0].source is None and docs[0].published_at is None
-    assert docs[1].source == "feed"
-    assert docs[1].published_at == date(2024, 5, 1)
+    assert [(d.cohort, d.text) for d in docs] == [("pre", "one two three"), ("post", "x y")]
 
 
 def test_load_corpus_skips_blank_lines(tmp_path):
@@ -162,8 +173,6 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         ('{"id": "a", "cohort": "pre"}', "missing required field 'text'"),
         ('{"id": 5, "cohort": "pre", "text": "t"}', "must be a string"),
         ('{"id": "a", "cohort": "mid", "text": "t"}', "cohort"),
-        ('{"id": "a", "cohort": "pre", "text": "t", "source": 3}', "source"),
-        ('{"id": "a", "cohort": "pre", "text": "t", "published_at": "05/01/24"}', "published_at"),
         ("[1, 2]", "expected a JSON object"),
     ],
 )
@@ -216,7 +225,7 @@ def test_truncate():
     doc = _tok(10)
     cut = truncate(doc, 4)
     assert len(cut.tokens) == 4
-    assert cut.token_texts == ("w0", "w1", "w2", "w3")
+    assert token_texts(cut) == ("w0", "w1", "w2", "w3")
     assert cut.text == doc.text  # spans still index the original text
     assert truncate(doc, 10) is doc
     assert truncate(doc, 99) is doc

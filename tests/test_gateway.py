@@ -356,11 +356,11 @@ def test_generate_batch_never_caches_failures():
     cache = GenerationCache()
     params = GenerationParams()
     [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
-    assert not failed.ok and len(cache) == 0
+    assert failed.error is not None and len(cache) == 0
     assert failed.request_key == request_key(VerbatimBackend(), transcript, params)
     backend = CountingBackend(VerbatimBackend())
     [retried] = generate_batch(backend, [transcript], params, cache=cache)
-    assert retried.ok and backend.calls == 1
+    assert retried.error is None and backend.calls == 1
 
 
 def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
@@ -372,7 +372,7 @@ def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
     transcripts = [_transcript(tag="ok"), _transcript(tag="bad")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
     records = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache())
-    assert [r.ok for r in records] == [True, False]
+    assert [r.error is None for r in records] == [True, False]
     assert len(calls) == 2
 
 
@@ -382,7 +382,7 @@ def test_generate_batch_alignment():
     records = generate_batch(ObliviousBackend(), transcripts, params, max_in_flight=3)
     assert len(records) == 5
     for transcript, record in zip(transcripts, records):
-        assert record.ok
+        assert record.error is None
         assert record.output_text == ObliviousBackend().complete(transcript, params)
 
 
@@ -390,7 +390,7 @@ def test_generate_batch_captures_per_item_failures():
     transcripts = [_transcript(tag="ok1"), _transcript(tag="bad"), _transcript(tag="ok2")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
     records = generate_batch(backend, transcripts, GenerationParams())
-    assert [r.ok for r in records] == [True, False, True]
+    assert [r.error is None for r in records] == [True, False, True]
     assert "synthetic failure" in records[1].error
     assert records[0].output_text == transcripts[0].reference_text
 
@@ -410,7 +410,7 @@ def test_generate_batch_skips_cached_entries():
     backend = CountingBackend(VerbatimBackend())
     records = generate_batch(backend, transcripts, params, cache=cache)
     assert backend.calls == 6
-    assert all(r.ok for r in records)
+    assert all(r.error is None for r in records)
     assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
 
 
@@ -546,7 +546,7 @@ def test_live_backend_batch_mixes_success_and_failure():
     with StubServer(script) as server:
         backend = LiveBackend(server.url)
         records = generate_batch(backend, transcripts, GenerationParams(), max_in_flight=1)
-    assert [r.ok for r in records] == [True, False, True]
+    assert [r.error is None for r in records] == [True, False, True]
     assert records[0].output_text == "one"
     assert records[2].output_text == "three"
     assert len(server.requests) == 3
@@ -568,7 +568,7 @@ def test_live_backend_reuses_keep_alive_connections():
     with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:
         for half in (transcripts[:10], transcripts[10:]):
             records = generate_batch(backend, half, GenerationParams(), max_in_flight=2)
-            assert all(r.ok for r in records)
+            assert all(r.error is None for r in records)
     assert len(server.requests) == 20
     assert len(set(server.ports)) <= 2
 

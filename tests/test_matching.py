@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_frequency_counts, oracle_rows
+from msr_audit import matching
 from msr_audit.matching import (
     FrequencyArray,
     _intern,
@@ -23,6 +25,10 @@ from msr_audit.matching import (
 )
 
 token_lists = st.lists(st.sampled_from("abc"), max_size=14)
+# Pair-list sizes for the block-wise join: 1 puts each row in a block of its
+# own, so any row with two or more pairs exceeds its block; the last is the
+# module's own, which holds every pair here in one block.
+block_sizes = st.sampled_from((1, 3, 64, matching._BLOCK))
 
 
 def test_known_matches_small_example():
@@ -111,9 +117,10 @@ def test_oracle_equivalence_edge_cases(ref, gen):
     assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
 
 
-@given(token_lists, token_lists)
-def test_oracle_equivalence_property(ref, gen):
-    assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
+@given(token_lists, token_lists, block_sizes)
+def test_oracle_equivalence_property(ref, gen, block):
+    with mock.patch.object(matching, "_BLOCK", block):
+        assert maximal_common_substrings(ref, gen).tolist() == oracle_rows(ref, gen)
 
 
 @given(token_lists, token_lists)
@@ -127,10 +134,11 @@ def test_every_match_is_maximal(ref, gen):
             assert ref[i + k] != gen[j + k]
 
 
-@given(token_lists, token_lists, st.integers(min_value=1, max_value=16))
-def test_min_length_keeps_exactly_the_long_oracle_rows(ref, gen, q):
+@given(token_lists, token_lists, st.integers(min_value=1, max_value=16), block_sizes)
+def test_min_length_keeps_exactly_the_long_oracle_rows(ref, gen, q, block):
     expected = [row for row in oracle_rows(ref, gen) if row[0] >= q]
-    assert maximal_common_substrings(ref, gen, q).tolist() == expected
+    with mock.patch.object(matching, "_BLOCK", block):
+        assert maximal_common_substrings(ref, gen, q).tolist() == expected
 
 
 def _chunk_copy(seed, n, vocab, chunk):
@@ -382,14 +390,26 @@ def _zipf_chunk_copy_pair(seed, n):
     return ref, gen
 
 
-def test_kernel_memory_on_zipf_chunk_copy_pair():
-    ref, gen = _zipf_chunk_copy_pair(1, 2048)
-    maximal_common_substrings(ref, gen)  # warm-up, so one-off allocations are not counted
+@pytest.mark.parametrize(
+    ("ref", "gen", "q", "rows", "bound_mb"),
+    [
+        pytest.param(*_zipf_chunk_copy_pair(1, 2048), 1, None, 12, id="zipf-chunk-copy-2048"),
+        # n x n identical tokens: every q-gram pair is equal, and each of the
+        # 2n - 1 diagonals with at least q cells holds one run.
+        pytest.param(["x"] * 2048, ["x"] * 2048, 1, 2 * 2048 - 2 * 1 + 1, 32, id="identical-2048-q1"),
+        pytest.param(["x"] * 4096, ["x"] * 4096, 5, 2 * 4096 - 2 * 5 + 1, 32, id="identical-4096-q5"),
+    ],
+)
+def test_kernel_memory_on_zipf_chunk_copy_pair(ref, gen, q, rows, bound_mb):
+    maximal_common_substrings(ref[:64], gen[:64], q)  # warm-up, so one-off allocations are not counted
     tracemalloc.start()
     try:
-        matches = maximal_common_substrings(ref, gen)
+        matches = maximal_common_substrings(ref, gen, q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(matches) > 100_000
-    assert peak < 12 * 2**20, f"kernel peak {peak / 2**20:.1f} MB"
+    if rows is None:
+        assert len(matches) > 100_000
+    else:
+        assert len(matches) == rows
+    assert peak < bound_mb * 2**20, f"kernel peak {peak / 2**20:.1f} MB"
