@@ -37,8 +37,8 @@ class Document:
             raise CorpusError("document id must be non-empty")
         if self.cohort not in COHORTS:
             raise CorpusError(f"cohort must be one of {COHORTS}, got {self.cohort!r}")
-        if not self.text:
-            raise CorpusError(f"document {self.id!r}: text must be non-empty")
+        if not self.text or self.text.isspace():
+            raise CorpusError(f"document {self.id!r}: text must be non-empty and not only whitespace")
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +85,7 @@ def tokenize_document(doc: Document, lowercase: bool = False) -> TokenizedDocume
     stay consistent with the stored text.
     """
     text = doc.text.lower() if lowercase else doc.text
-    tokens = tokenize(text)
-    if not len(tokens):
-        raise CorpusError(f"document {doc.id!r} contains no word tokens")
-    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokens)
+    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokenize(text))
 
 
 def _parse_record(raw: dict, lineno: int, cohort_override: str | None) -> Document:

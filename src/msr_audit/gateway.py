@@ -57,18 +57,11 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One completion with enough request context to reproduce or cache it."""
+    """One completion under the digest of the request that produced it."""
 
     request_key: str
     output_text: str
-    backend_name: str
-    params: GenerationParams
-    created_at: str
     error: str | None = None
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def transcript_messages(transcript: Transcript) -> list[dict[str, str]]:
@@ -367,18 +360,16 @@ def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | Non
     raise ValueError(f"unknown backend {spec!r}; expected live, verbatim, oblivious, or partial:P")
 
 
-def _is_number(value: object, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """isinstance check that does not let a JSON true/false pass as a number."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
 class GenerationCache:
     """First-write-wins response cache, optionally persisted as JSON lines.
 
     Each line holds {"key", "output", "backend", "model", "temperature",
-    "max_tokens", "seed", "created_at"}; lines without "max_tokens" and
-    "seed" (older files) load with both None. Corrupt lines are skipped with
-    a warning. Writes are serialized; lookups may run concurrently.
+    "max_tokens", "seed", "created_at"}. Only "key" and "output" are read
+    back: the key is the digest of the whole request, so it already names
+    the backend and parameters; the other fields record provenance for
+    people reading the file. A line without a string "key" and "output" is
+    skipped with a warning. Writes are serialized; lookups may run
+    concurrently.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -396,54 +387,39 @@ class GenerationCache:
                     continue
                 try:
                     raw = json.loads(line)
-                    for field in ("key", "output", "backend", "model", "created_at"):
-                        if not isinstance(raw[field], str):
-                            raise TypeError(f"{field!r} is not a string")
-                    if not _is_number(raw["temperature"]):
-                        raise TypeError("'temperature' is not a number")
-                    for field in ("max_tokens", "seed"):
-                        if raw.get(field) is not None and not _is_number(raw[field], int):
-                            raise TypeError(f"{field!r} is not an integer or null")
-                    record = GenerationRecord(
-                        request_key=raw["key"],
-                        output_text=raw["output"],
-                        backend_name=raw["backend"],
-                        params=GenerationParams(
-                            model=raw["model"],
-                            temperature=raw["temperature"],
-                            max_tokens=raw.get("max_tokens"),
-                            seed=raw.get("seed"),
-                        ),
-                        created_at=raw["created_at"],
-                    )
+                    key, output = raw["key"], raw["output"]
+                    if not isinstance(key, str) or not isinstance(output, str):
+                        raise TypeError("'key' and 'output' must be strings")
                 except (ValueError, KeyError, TypeError) as exc:
                     logger.warning("%s: skipping corrupt cache line %d: %s", self.path, lineno, exc)
                     continue
-                self._records.setdefault(record.request_key, record)
+                self._records.setdefault(key, GenerationRecord(key, output))
 
     def lookup(self, key: str) -> GenerationRecord | None:
         with self._lock:
             return self._records.get(key)
 
-    def store(self, record: GenerationRecord) -> GenerationRecord:
-        """Store a record; if the key already exists the first record wins."""
+    def store(self, record: GenerationRecord, backend_name: str, params: GenerationParams) -> GenerationRecord:
+        """Store a record; if the key already exists the first record wins.
+
+        ``backend_name`` and ``params`` are written to the file as provenance.
+        """
         with self._lock:
             existing = self._records.get(record.request_key)
             if existing is not None:
                 return existing
             self._records[record.request_key] = record
             if self.path is not None:
-                params = record.params
                 line = json.dumps(
                     {
                         "key": record.request_key,
                         "output": record.output_text,
-                        "backend": record.backend_name,
+                        "backend": backend_name,
                         "model": params.model,
                         "temperature": params.temperature,
                         "max_tokens": params.max_tokens,
                         "seed": params.seed,
-                        "created_at": record.created_at,
+                        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
                     },
                     ensure_ascii=False,
                 )
@@ -451,10 +427,6 @@ class GenerationCache:
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.write(line + "\n")
             return record
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
 
 
 def generate_batch(
@@ -484,21 +456,12 @@ def generate_batch(
             hit = cache.lookup(key)
             if hit is not None:
                 return hit
-        error = None
         try:
-            text = backend.complete(transcript, params)
+            record = GenerationRecord(key, backend.complete(transcript, params))
         except BackendError as exc:
-            text, error = "", str(exc)
-        record = GenerationRecord(
-            request_key=key,
-            output_text=text,
-            backend_name=backend.name,
-            params=params,
-            created_at=_utcnow(),
-            error=error,
-        )
-        if cache is not None and error is None:
-            return cache.store(record)
+            return GenerationRecord(key, "", error=str(exc))
+        if cache is not None:
+            return cache.store(record, backend.name, params)
         return record
 
     if not backend.waits_on_io:

@@ -56,16 +56,16 @@ logger = logging.getLogger(__name__)
 class ExperimentConfig:
     """Everything an audit run needs besides the corpus itself.
 
-    ``l_max=None`` means auto: truncation length divided by shot count (the
-    longest reference a segment can hold). ``truncate_words`` caps every
-    document at a fixed token count so cohorts are length-matched.
+    ``truncate_words`` caps every document at a fixed token count so cohorts
+    are length-matched; it also caps the tracked match length at
+    ``truncate_words // shots``, the longest reference a segment can hold.
     """
 
     backend: str = "verbatim"
     model: str = "mock"
     shots: int = 6
     l_min: int = 5
-    l_max: int | None = 12
+    l_max: int = 12
     temperature: float = 0.1
     min_words: int = 1000
     truncate_words: int | None = None
@@ -82,10 +82,7 @@ class ExperimentConfig:
     def resolved_l_max(self) -> int:
         """Effective upper match-length bound after applying truncation."""
         if self.truncate_words is not None:
-            cap = self.truncate_words // self.shots
-            return cap if self.l_max is None else min(self.l_max, cap)
-        if self.l_max is None:
-            raise ValueError("l_max can only be auto (None) when truncate_words is set")
+            return min(self.l_max, self.truncate_words // self.shots)
         return self.l_max
 
     def validate(self) -> None:
@@ -123,7 +120,10 @@ class DocumentMatchSummary:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """One audit's result. ``backends`` names the backend each cohort ran on."""
+
     config: ExperimentConfig
+    backends: dict[str, str]
     created_at: str
     f_pre: FrequencyArray
     f_post: FrequencyArray
@@ -246,6 +246,7 @@ def _audit(
     n_docs_pre = sum(summary.cohort == "pre" for summary in documents)
     return AuditReport(
         config=config,
+        backends={cohort: backend_map[cohort].name for cohort in COHORTS},
         created_at=_utcnow(),
         f_pre=f_pre,
         f_post=f_post,
@@ -340,6 +341,7 @@ def report_to_dict(report: AuditReport) -> dict:
     return {
         "created_at": report.created_at,
         "config": asdict(report.config),
+        "backends": report.backends,
         "failures": report.failures,
         "documents_pre": report.n_docs_pre,
         "documents_post": report.n_docs_post,

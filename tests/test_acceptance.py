@@ -151,7 +151,6 @@ def test_criterion_6_length_sweep_contract():
         doc = _doc(75)
         assert [e - s for s, e in segment(doc, 6)] == [13, 13, 13, 12, 12, 12]
         assert ExperimentConfig(l_max=12, truncate_words=75, shots=6).resolved_l_max == 12
-        assert ExperimentConfig(l_max=None, truncate_words=75, shots=6).resolved_l_max == 12
 
         corpus = make_corpus(n_pre=4, n_post=4, words=1010)
         reports = sweep_length(corpus, BIG_CONFIG, [75, 125, 250, 500, 1000], backends=SPLIT)

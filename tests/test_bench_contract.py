@@ -28,6 +28,8 @@ TRACED_LAYERS = (
     "corpus.trim",
     "prompting.transcript",
     "gateway.batch",
+    "gateway.cache_lookup",
+    "gateway.cache_store",
     "matching.kernel",
     "matching.frequency",
     "stats.compare",

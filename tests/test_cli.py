@@ -61,6 +61,14 @@ def test_audit_writes_report_and_prints_comparison(corpus_files, tmp_path, capsy
     assert (out / "frequencies.csv").read_text().splitlines()[0] == "k,count_pre,count_post"
 
 
+def test_audit_summary_names_each_cohorts_backend(corpus_files, tmp_path):
+    pre, post = corpus_files
+    out = tmp_path / "report"
+    assert main(_audit_args(pre, post, out, "--backend-pre", "verbatim", "--backend-post", "oblivious")) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["backends"] == {"pre": "verbatim", "post": "oblivious"}
+
+
 def test_audit_single_backend_spec(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     code = main(_audit_args(pre, post, tmp_path / "r", "--backend", "partial:0.5", "--seed", "7"))

@@ -126,10 +126,9 @@ def test_tokenize_document_lowercase_flag():
     assert lowered.text == "the cat sat"
 
 
-def test_tokenize_document_rejects_empty():
-    doc = Document(id="a", cohort="pre", text="   ")
-    with pytest.raises(CorpusError, match="no word tokens"):
-        tokenize_document(doc)
+def test_document_rejects_whitespace_only_text():
+    with pytest.raises(CorpusError, match="non-empty"):
+        Document(id="a", cohort="pre", text="   \n ")
 
 
 def _write_lines(path, lines):
@@ -174,6 +173,7 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         ('{"id": 5, "cohort": "pre", "text": "t"}', "must be a string"),
         ('{"id": "a", "cohort": "mid", "text": "t"}', "cohort"),
         ("[1, 2]", "expected a JSON object"),
+        ('{"id": "blank", "cohort": "pre", "text": "   \\n "}', "line 1: .*'blank'.*non-empty"),
     ],
 )
 def test_load_corpus_rejects_malformed_records(tmp_path, record, message):

@@ -5,6 +5,7 @@ import logging
 import socket
 import threading
 from contextlib import closing
+from datetime import datetime
 
 import pytest
 
@@ -165,30 +166,27 @@ def test_partial_copy_deterministic_and_call_order_independent():
 
 
 def _record(key, output="gen text"):
-    return GenerationRecord(
-        request_key=key,
-        output_text=output,
-        backend_name="verbatim",
-        params=GenerationParams(),
-        created_at="2026-01-01T00:00:00+00:00",
-    )
+    return GenerationRecord(request_key=key, output_text=output)
+
+
+def _store(cache, key, output="gen text"):
+    return cache.store(_record(key, output), "verbatim", GenerationParams())
 
 
 def test_cache_first_write_wins():
     cache = GenerationCache()
-    first = cache.store(_record("k1", "first"))
-    second = cache.store(_record("k1", "second"))
+    first = _store(cache, "k1", "first")
+    second = _store(cache, "k1", "second")
     assert second is first
     assert cache.lookup("k1").output_text == "first"
     assert cache.lookup("missing") is None
-    assert len(cache) == 1
 
 
 def test_cache_persists_jsonl_round_trip(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = GenerationCache(path)
-    cache.store(_record("k1", "hello"))
-    cache.store(_record("k2", "world"))
+    _store(cache, "k1", "hello")
+    _store(cache, "k2", "world")
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [set(line) for line in lines] == [
@@ -196,23 +194,19 @@ def test_cache_persists_jsonl_round_trip(tmp_path):
     ] * 2
 
     reloaded = GenerationCache(path)
-    assert reloaded.lookup("k1").output_text == "hello"
-    assert reloaded.lookup("k2").output_text == "world"
-    assert len(reloaded) == 2
+    assert reloaded.lookup("k1") == _record("k1", "hello")
+    assert reloaded.lookup("k2") == _record("k2", "world")
 
 
 def test_cache_round_trips_params(tmp_path):
+    # The params reach the file as provenance; they are not read back.
     path = tmp_path / "cache.jsonl"
     params = GenerationParams(model="m", temperature=0.7, max_tokens=42, seed=9)
-    record = GenerationRecord(
-        request_key="k1",
-        output_text="out",
-        backend_name="partial:0.5",
-        params=params,
-        created_at="2026-01-01T00:00:00+00:00",
-    )
-    GenerationCache(path).store(record)
-    assert GenerationCache(path).lookup("k1").params == params
+    GenerationCache(path).store(_record("k1", "out"), "partial:0.5", params)
+    line = json.loads(path.read_text())
+    assert line.pop("backend") == "partial:0.5"
+    assert datetime.fromisoformat(line.pop("created_at")).tzinfo is not None
+    assert line == {"key": "k1", "output": "out", "model": "m", "temperature": 0.7, "max_tokens": 42, "seed": 9}
 
 
 def test_cache_loads_lines_without_seed_or_max_tokens(tmp_path):
@@ -226,8 +220,7 @@ def test_cache_loads_lines_without_seed_or_max_tokens(tmp_path):
         "created_at": "2026-01-01T00:00:00+00:00",
     }
     path.write_text(json.dumps(old_line) + "\n", encoding="utf-8")
-    params = GenerationCache(path).lookup("k1").params
-    assert params == GenerationParams(model="mock", temperature=0.1, max_tokens=None, seed=None)
+    assert GenerationCache(path).lookup("k1") == _record("k1", "kept")
 
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
@@ -245,43 +238,45 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path.write_text("{broken\n" + good + "\n" + '{"key": "k2"}\n', encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         cache = GenerationCache(path)
-    assert len(cache) == 1
     assert cache.lookup("k1").output_text == "kept"
+    assert cache.lookup("k2") is None
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
 
 
-def _assert_line_skipped_and_rerequested(tmp_path, caplog, **overrides):
+_PROVENANCE = {"backend": "verbatim", "model": "mock", "temperature": 0.1, "created_at": "2026-01-01T00:00:00+00:00"}
+
+
+def _batch_over_cache_line(tmp_path, caplog, **fields):
+    """Load a cache file of one line for a transcript, then complete that
+    transcript over it; returns the record and the backend's call count."""
     transcript = _transcript()
     backend = CountingBackend(VerbatimBackend())
     params = GenerationParams()
-    line = {
-        "key": request_key(backend, transcript, params),
-        "output": "cached",
-        "backend": backend.name,
-        "model": params.model,
-        "temperature": params.temperature,
-        "created_at": "2026-01-01T00:00:00+00:00",
-        **overrides,
-    }
+    line = {"key": request_key(backend, transcript, params), "output": "cached", **fields}
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         cache = GenerationCache(path)
-    assert len(cache) == 0
-    assert any("corrupt cache line" in r.message for r in caplog.records)
     [record] = generate_batch(backend, [transcript], params, cache=cache)
-    assert backend.calls == 1
-    assert record.output_text == transcript.reference_text
+    return record, backend.calls
 
 
-@pytest.mark.parametrize("field", ["key", "output", "backend", "model", "created_at"])
+@pytest.mark.parametrize("field", ["key", "output"])
 def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
-    _assert_line_skipped_and_rerequested(tmp_path, caplog, **{field: 5})
+    record, calls = _batch_over_cache_line(tmp_path, caplog, **_PROVENANCE, **{field: 5})
+    assert any("corrupt cache line" in r.message for r in caplog.records)
+    assert calls == 1
+    assert record.output_text == _transcript().reference_text
 
 
+# The key already names the request, so the provenance fields are never read
+# back: a line is served whatever they hold, or without them.
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("backend", 5),
+        ("model", 5),
+        ("created_at", 5),
         ("temperature", True),
         ("temperature", "0.1"),
         ("max_tokens", 2.5),
@@ -290,14 +285,24 @@ def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
         ("seed", True),
     ],
 )
-def test_cache_skips_line_with_mistyped_param(tmp_path, caplog, field, value):
-    _assert_line_skipped_and_rerequested(tmp_path, caplog, **{field: value})
+def test_cache_serves_line_with_mistyped_provenance(tmp_path, caplog, field, value):
+    record, calls = _batch_over_cache_line(tmp_path, caplog, **{**_PROVENANCE, field: value})
+    assert not caplog.records
+    assert calls == 0
+    assert record.output_text == "cached"
+
+
+def test_cache_serves_line_with_only_key_and_output(tmp_path, caplog):
+    record, calls = _batch_over_cache_line(tmp_path, caplog)
+    assert not caplog.records
+    assert calls == 0
+    assert record.output_text == "cached"
 
 
 def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = GenerationCache(path)
-    cache.store(_record("k1", "first"))
+    _store(cache, "k1", "first")
     # simulate a concurrent writer appending the same key again
     with path.open("a", encoding="utf-8") as handle:
         handle.write(
@@ -351,13 +356,35 @@ def test_generate_batch_returns_stored_output_on_cache_hit():
     assert hit.output_text == transcript.reference_text
 
 
+class _EmptyBackend(Backend):
+    name = "empty"
+
+    def complete(self, transcript, params):
+        return ""
+
+
+def test_generate_batch_serves_empty_completion_from_cache_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    transcript = _transcript()
+    params = GenerationParams()
+    [stored] = generate_batch(_EmptyBackend(), [transcript], params, cache=GenerationCache(path))
+    assert stored.error is None and stored.output_text == ""
+    assert json.loads(path.read_text())["output"] == ""
+
+    backend = CountingBackend(_EmptyBackend())
+    [hit] = generate_batch(backend, [transcript], params, cache=GenerationCache(path))
+    assert backend.calls == 0
+    assert hit == stored
+
+
 def test_generate_batch_never_caches_failures():
     transcript = _transcript(tag="bad")
     cache = GenerationCache()
     params = GenerationParams()
     [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
-    assert failed.error is not None and len(cache) == 0
+    assert failed.error is not None
     assert failed.request_key == request_key(VerbatimBackend(), transcript, params)
+    assert cache.lookup(failed.request_key) is None
     backend = CountingBackend(VerbatimBackend())
     [retried] = generate_batch(backend, [transcript], params, cache=cache)
     assert retried.error is None and backend.calls == 1

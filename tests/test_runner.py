@@ -59,7 +59,6 @@ def test_config_defaults_match_documented_protocol():
         {"truncate_words": 4, "shots": 6},
         {"truncate_words": 10, "shots": 6, "l_min": 5},  # resolved l_max 1 < l_min
         {"l_max": 4, "l_min": 5},
-        {"l_max": None},  # auto l_max needs a truncation length
     ],
 )
 def test_config_validation_rejects(kwargs):
@@ -71,7 +70,6 @@ def test_resolved_l_max():
     assert ExperimentConfig(l_max=12).resolved_l_max == 12
     assert ExperimentConfig(l_max=12, truncate_words=75, shots=6).resolved_l_max == 12
     assert ExperimentConfig(l_max=12, truncate_words=60, shots=6).resolved_l_max == 10
-    assert ExperimentConfig(l_max=None, truncate_words=75, shots=6).resolved_l_max == 12
 
 
 # -------------------------------------------------------------------- run_audit
