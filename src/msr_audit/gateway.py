@@ -57,9 +57,8 @@ class GenerationParams:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One completion under the digest of the request that produced it."""
+    """One completion, or the error that took its place."""
 
-    request_key: str
     output_text: str
     error: str | None = None
 
@@ -361,7 +360,8 @@ def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | Non
 
 
 class GenerationCache:
-    """First-write-wins response cache, optionally persisted as JSON lines.
+    """First-write-wins map from request key to completion text, optionally
+    persisted as JSON lines.
 
     Each line holds {"key", "output", "backend", "model", "temperature",
     "max_tokens", "seed", "created_at"}. Only "key" and "output" are read
@@ -374,7 +374,7 @@ class GenerationCache:
 
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._records: dict[str, GenerationRecord] = {}
+        self._outputs: dict[str, str] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -393,27 +393,28 @@ class GenerationCache:
                 except (ValueError, KeyError, TypeError) as exc:
                     logger.warning("%s: skipping corrupt cache line %d: %s", self.path, lineno, exc)
                     continue
-                self._records.setdefault(key, GenerationRecord(key, output))
+                self._outputs.setdefault(key, output)
 
-    def lookup(self, key: str) -> GenerationRecord | None:
+    def lookup(self, key: str) -> str | None:
         with self._lock:
-            return self._records.get(key)
+            return self._outputs.get(key)
 
-    def store(self, record: GenerationRecord, backend_name: str, params: GenerationParams) -> GenerationRecord:
-        """Store a record; if the key already exists the first record wins.
+    def store(self, key: str, output: str, backend_name: str, params: GenerationParams) -> str:
+        """Store ``output`` under ``key`` and return the stored output: if the
+        key already exists the first output wins.
 
         ``backend_name`` and ``params`` are written to the file as provenance.
         """
         with self._lock:
-            existing = self._records.get(record.request_key)
+            existing = self._outputs.get(key)
             if existing is not None:
                 return existing
-            self._records[record.request_key] = record
+            self._outputs[key] = output
             if self.path is not None:
                 line = json.dumps(
                     {
-                        "key": record.request_key,
-                        "output": record.output_text,
+                        "key": key,
+                        "output": output,
                         "backend": backend_name,
                         "model": params.model,
                         "temperature": params.temperature,
@@ -426,7 +427,7 @@ class GenerationCache:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.write(line + "\n")
-            return record
+            return output
 
 
 def generate_batch(
@@ -443,26 +444,28 @@ def generate_batch(
     other backend, such as the mocks, is CPU-bound and runs inline on the
     caller's thread, since threads would only pass the GIL back and forth.
     Outputs align index-wise with the inputs regardless of completion order.
-    Cached entries are not re-requested. Per-item failures are captured on
-    the record (``error`` set), never cached, and never abort the batch.
-    Empty completions are kept as they are.
+    With a ``cache``, each transcript's ``request_key`` is computed once and
+    cached entries are not re-requested; without one no key is computed.
+    Per-item failures are captured on the record (``error`` set), never
+    cached, and never abort the batch. Empty completions are kept as they
+    are.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
 
     def one(transcript: Transcript) -> GenerationRecord:
-        key = request_key(backend, transcript, params)
         if cache is not None:
+            key = request_key(backend, transcript, params)
             hit = cache.lookup(key)
             if hit is not None:
-                return hit
+                return GenerationRecord(hit)
         try:
-            record = GenerationRecord(key, backend.complete(transcript, params))
+            output = backend.complete(transcript, params)
         except BackendError as exc:
-            return GenerationRecord(key, "", error=str(exc))
+            return GenerationRecord("", error=str(exc))
         if cache is not None:
-            return cache.store(record, backend.name, params)
-        return record
+            output = cache.store(key, output, backend.name, params)
+        return GenerationRecord(output)
 
     if not backend.waits_on_io:
         return list(map(one, transcripts))

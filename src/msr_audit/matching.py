@@ -41,21 +41,27 @@ class FrequencyArray:
 
 
 def _intern(ref_tokens: Sequence[str], gen_tokens: Sequence[str]) -> tuple[np.ndarray, int]:
-    """Both sequences as one int32 array of dense token ids, and the id count."""
-    ids: dict[str, int] = {}
+    """Both sequences as one int32 array of token ids, and a bound above
+    every id.
+
+    A token's id is the position of its first occurrence in ref + gen, so
+    equal tokens get equal ids and the bound is the total length. The ids
+    are not dense, but ``dict.setdefault`` mapped over the tokens and their
+    positions runs in C, without a Python frame per token.
+    """
+    total = len(ref_tokens) + len(gen_tokens)
+    first: dict[str, int] = {}
     tokens = itertools.chain(ref_tokens, gen_tokens)
-    interned = np.fromiter(
-        (ids.setdefault(t, len(ids)) for t in tokens), np.int32, len(ref_tokens) + len(gen_tokens)
-    )
-    return interned, len(ids)
+    return np.fromiter(map(first.setdefault, tokens, itertools.count()), np.int32, total), total
 
 
 def _qgram_keys(ids: np.ndarray, n_ids: int, q: int) -> np.ndarray:
     """Exact keys of the q-grams ``ids[p : p + q]``: equal keys iff equal q-grams.
 
-    Appends one id per pass, packing in base ``n_ids`` into int64. Before a
-    pass whose keys could reach 2**62, the keys so far are renumbered densely
-    by ``np.unique``, so they drop below len(ids) and the packing goes on.
+    Every id lies in [0, ``n_ids``). Appends one id per pass, packing in
+    base ``n_ids`` into int64. Before a pass whose keys could reach 2**62,
+    the keys so far are renumbered densely by ``np.unique``, so they drop
+    below len(ids) and the packing goes on.
     No key is a hash, so two different q-grams never share one.
     """
     if q == 1:

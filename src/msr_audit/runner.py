@@ -165,10 +165,16 @@ def _eligible(corpus: Sequence[Document], config: ExperimentConfig) -> list[Toke
     return filter_by_length(tokenized, config.min_words)
 
 
+def _cache(config: ExperimentConfig) -> GenerationCache | None:
+    """The run's completion cache: one per ``config.cache_path``, none without."""
+    return GenerationCache(config.cache_path) if config.cache_path is not None else None
+
+
 def _audit(
     eligible: Sequence[TokenizedDocument],
     config: ExperimentConfig,
     backend_map: Mapping[str, Backend],
+    cache: GenerationCache | None,
 ) -> AuditReport:
     """Prepare (truncate, segment, transcript), generate and score
     already-tokenized documents in corpus order, then compare the cohorts."""
@@ -178,7 +184,6 @@ def _audit(
         max_tokens=config.max_tokens,
         seed=config.seed,
     )
-    cache = GenerationCache(config.cache_path)
 
     if config.truncate_words is not None:
         eligible = [truncate(doc, config.truncate_words) for doc in eligible]
@@ -272,7 +277,7 @@ def run_audit(
     """
     config.validate()
     with _cohort_backends(config, backends) as backend_map:
-        return _audit(_eligible(corpus, config), config, backend_map)
+        return _audit(_eligible(corpus, config), config, backend_map, _cache(config))
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
@@ -291,8 +296,8 @@ def sweep(
     ``dimension`` is ``"shots"``, ``"temperature"`` or ``"length"`` (the
     truncation length). Values must be distinct, and all of them are validated
     before any request is sent, so a bad value cannot waste earlier runs. The
-    corpus is tokenized and the backends are built once for the whole sweep;
-    each value still gets its own completion cache.
+    corpus is tokenized, and the backends and the completion cache (only with
+    ``config.cache_path``) are built, once for the whole sweep.
     """
     if dimension not in SWEEP_FIELDS:
         raise ValueError(f"unknown sweep dimension {dimension!r}; expected one of {sorted(SWEEP_FIELDS)}")
@@ -306,7 +311,8 @@ def sweep(
         candidate.validate()
     with _cohort_backends(config, backends) as backend_map:
         eligible = _eligible(corpus, config)
-        return {value: _audit(eligible, configs[value], backend_map) for value in values}
+        cache = _cache(config)
+        return {value: _audit(eligible, configs[value], backend_map, cache) for value in values}
 
 
 def sweep_length(

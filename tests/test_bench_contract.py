@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,14 +53,16 @@ def test_runner_has_every_traced_name(tracing):
         assert hasattr(runner, name), name
 
 
-def test_traced_length_sweep_records_every_layer(tracing, small_config):
+def test_traced_length_sweep_records_every_layer(tracing, small_config, tmp_path):
     corpus = make_corpus()
     backends = {"pre": VerbatimBackend(), "post": ObliviousBackend()}
+    # The runner builds a cache, and so records cache spans, only with a file.
+    config = replace(small_config, cache_path=str(tmp_path / "cache.jsonl"))
     tracer = tracing.Tracer()
     undo = tracing.install(tracer, runner, backends.values())
     start = time.perf_counter()
     try:
-        reports = runner.sweep_length(corpus, small_config, [60, 90, 120], backends)
+        reports = runner.sweep_length(corpus, config, [60, 90, 120], backends)
     finally:
         undo()
     wall = time.perf_counter() - start

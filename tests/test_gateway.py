@@ -165,20 +165,15 @@ def test_partial_copy_deterministic_and_call_order_independent():
 # ------------------------------------------------------------------------ cache
 
 
-def _record(key, output="gen text"):
-    return GenerationRecord(request_key=key, output_text=output)
-
-
 def _store(cache, key, output="gen text"):
-    return cache.store(_record(key, output), "verbatim", GenerationParams())
+    return cache.store(key, output, "verbatim", GenerationParams())
 
 
 def test_cache_first_write_wins():
     cache = GenerationCache()
-    first = _store(cache, "k1", "first")
-    second = _store(cache, "k1", "second")
-    assert second is first
-    assert cache.lookup("k1").output_text == "first"
+    assert _store(cache, "k1", "first") == "first"
+    assert _store(cache, "k1", "second") == "first"
+    assert cache.lookup("k1") == "first"
     assert cache.lookup("missing") is None
 
 
@@ -194,15 +189,15 @@ def test_cache_persists_jsonl_round_trip(tmp_path):
     ] * 2
 
     reloaded = GenerationCache(path)
-    assert reloaded.lookup("k1") == _record("k1", "hello")
-    assert reloaded.lookup("k2") == _record("k2", "world")
+    assert reloaded.lookup("k1") == "hello"
+    assert reloaded.lookup("k2") == "world"
 
 
 def test_cache_round_trips_params(tmp_path):
     # The params reach the file as provenance; they are not read back.
     path = tmp_path / "cache.jsonl"
     params = GenerationParams(model="m", temperature=0.7, max_tokens=42, seed=9)
-    GenerationCache(path).store(_record("k1", "out"), "partial:0.5", params)
+    GenerationCache(path).store("k1", "out", "partial:0.5", params)
     line = json.loads(path.read_text())
     assert line.pop("backend") == "partial:0.5"
     assert datetime.fromisoformat(line.pop("created_at")).tzinfo is not None
@@ -220,7 +215,7 @@ def test_cache_loads_lines_without_seed_or_max_tokens(tmp_path):
         "created_at": "2026-01-01T00:00:00+00:00",
     }
     path.write_text(json.dumps(old_line) + "\n", encoding="utf-8")
-    assert GenerationCache(path).lookup("k1") == _record("k1", "kept")
+    assert GenerationCache(path).lookup("k1") == "kept"
 
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
@@ -238,7 +233,7 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     path.write_text("{broken\n" + good + "\n" + '{"key": "k2"}\n', encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         cache = GenerationCache(path)
-    assert cache.lookup("k1").output_text == "kept"
+    assert cache.lookup("k1") == "kept"
     assert cache.lookup("k2") is None
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
 
@@ -318,7 +313,7 @@ def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
             )
             + "\n"
         )
-    assert GenerationCache(path).lookup("k1").output_text == "first"
+    assert GenerationCache(path).lookup("k1") == "first"
 
 
 # --------------------------------------------------------------- generate APIs
@@ -352,8 +347,7 @@ def test_generate_batch_returns_stored_output_on_cache_hit():
     [stored] = generate_batch(backend, [transcript], params, cache=cache)
     [hit] = generate_batch(backend, [transcript], params, cache=cache)
     assert backend.calls == 1
-    assert hit is stored
-    assert hit.output_text == transcript.reference_text
+    assert hit == stored == GenerationRecord(transcript.reference_text)
 
 
 class _EmptyBackend(Backend):
@@ -383,8 +377,7 @@ def test_generate_batch_never_caches_failures():
     params = GenerationParams()
     [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
     assert failed.error is not None
-    assert failed.request_key == request_key(VerbatimBackend(), transcript, params)
-    assert cache.lookup(failed.request_key) is None
+    assert cache.lookup(request_key(VerbatimBackend(), transcript, params)) is None
     backend = CountingBackend(VerbatimBackend())
     [retried] = generate_batch(backend, [transcript], params, cache=cache)
     assert retried.error is None and backend.calls == 1

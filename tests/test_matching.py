@@ -168,7 +168,21 @@ def test_min_length_on_long_pair_over_large_vocab(q):
     assert maximal_common_substrings(ref, gen, q).tolist() == expected
 
 
-@pytest.mark.parametrize(("n", "vocab", "q"), [(400, 30, 20), (6000, 5000, 12), (6000, 5000, 5), (50, 2, 9)])
+@given(token_lists, token_lists)
+def test_intern_gives_equal_ids_exactly_to_equal_tokens(ref, gen):
+    ids, bound = _intern(ref, gen)
+    tokens = ref + gen
+    assert ids.dtype == np.int32 and len(ids) == len(tokens)
+    assert all(0 <= i < bound for i in ids.tolist())
+    # Equal ids iff equal tokens: both partition the positions alike.
+    assert len(set(ids.tolist())) == len(set(tokens)) == len(set(zip(ids.tolist(), tokens)))
+
+
+# (8192, 5000, 5): the id bound is 8192 = 2**13, so 5-gram keys would reach
+# 2**65 and must be renumbered while packing.
+@pytest.mark.parametrize(
+    ("n", "vocab", "q"), [(400, 30, 20), (6000, 5000, 12), (6000, 5000, 5), (8192, 5000, 5), (50, 2, 9)]
+)
 def test_qgram_keys_are_exact_and_below_2_to_62(n, vocab, q):
     rng = random.Random(n + q)
     tokens = [f"w{rng.randrange(vocab)}" for _ in range(n)]

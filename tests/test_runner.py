@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -278,6 +279,47 @@ def test_run_audit_uses_cache_across_runs(small_corpus, small_config, tmp_path):
     second = run_audit(small_corpus, config, backends=counting)
     assert counting["pre"].calls == 3 and counting["post"].calls == 3  # all cache hits
     assert first.f_pre == second.f_pre and first.f_post == second.f_post
+
+
+def test_sweep_builds_one_cache_and_parses_each_line_once(small_corpus, small_config, tmp_path, monkeypatch):
+    import msr_audit.gateway as gateway
+
+    path = tmp_path / "cache.jsonl"
+    config = replace(small_config, cache_path=str(path))
+    sweep_length(small_corpus, config, [60, 90, 120], backends=SPLIT)
+    filled = path.read_bytes()
+    assert len(filled.splitlines()) == 3 * len(small_corpus)
+
+    built = []
+    original_cache = runner.GenerationCache
+    monkeypatch.setattr(runner, "GenerationCache", lambda *args: built.append(args) or original_cache(*args))
+    parsed = []
+    counting_json = SimpleNamespace(dumps=json.dumps, loads=lambda text: parsed.append(text) or json.loads(text))
+    monkeypatch.setattr(gateway, "json", counting_json)
+    counting = {cohort: CountingBackend(backend) for cohort, backend in SPLIT.items()}
+    reports = sweep_length(small_corpus, config, [60, 90, 120], backends=counting)
+
+    assert len(reports) == 3
+    assert built == [(str(path),)]
+    assert len(parsed) == 3 * len(small_corpus)  # each file line once
+    assert counting["pre"].calls == counting["post"].calls == 0  # every request a hit
+    assert path.read_bytes() == filled
+
+
+def test_runs_without_a_cache_file_build_no_cache_and_digest_nothing(small_corpus, small_config, monkeypatch):
+    import msr_audit.gateway as gateway
+
+    def no_cache(*args):
+        raise AssertionError("a run without cache_path built a GenerationCache")
+
+    keys = []
+    original_key = gateway.request_key
+    monkeypatch.setattr(gateway, "request_key", lambda *args: keys.append(1) or original_key(*args))
+    monkeypatch.setattr(runner, "GenerationCache", no_cache)
+    assert small_config.cache_path is None
+    run_audit(small_corpus, small_config, backends=SPLIT)
+    sweep(small_corpus, small_config, "length", [60, 90, 120], backends=SPLIT)
+    assert keys == []
 
 
 def test_run_audit_exact_length_mode(small_corpus, small_config):
