@@ -32,7 +32,6 @@ from msr_audit.gateway import (
 from msr_audit.matching import (
     FrequencyArray,
     frequency_array,
-    longest_common_substring_len,
     maximal_common_substrings,
     sum_arrays,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "ks_distance",
     "load_corpus",
     "low_vs_high",
-    "longest_common_substring_len",
     "maximal_common_substrings",
     "report_to_dict",
     "run_audit",

@@ -1,8 +1,13 @@
 """Command-line interface.
 
 Subcommands: audit (full two-cohort run), sweep (shots / temperature /
-length), match (maximal matches between two raw text files), stats (compare
-two frequency CSVs), transcript (print the faux transcript for one document).
+length), match (maximal matches between two raw text files), transcript
+(print the faux transcript for one document).
+
+To re-score a finished run, run audit or sweep again with the same --cache
+and a new --lmin, --lmax or --exact-lengths. No request key covers those
+options, so every completion the cache holds is served from it and only
+requests that failed before are sent again.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 """
@@ -10,11 +15,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import ExitStack, closing
@@ -28,7 +30,6 @@ from msr_audit.gateway import Backend, BackendError, backend_from_spec
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import DEFAULT_SYSTEM_PROMPT, build_transcript, format_transcript, segment
 from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, emit_report, low_vs_high, run_audit, sweep
-from msr_audit.stats import compare_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--lowercase", action="store_true")
     p_match.add_argument("--exact-lengths", action="store_true")
     p_match.set_defaults(func=cmd_match)
-
-    p_stats = sub.add_parser("stats", help="compare two frequency CSVs (pre, post)")
-    p_stats.add_argument("pre_csv")
-    p_stats.add_argument("post_csv")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_tr = sub.add_parser("transcript", help="print the faux transcript for one document")
     p_tr.add_argument("--corpus", required=True, help="JSONL corpus file")
@@ -210,7 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
 
@@ -235,38 +231,6 @@ def cmd_match(args: argparse.Namespace) -> int:
     print("k,count")
     for offset, k in enumerate(range(counts.l_min, counts.l_max + 1)):
         print(f"{k},{counts.counts[offset]}")
-    return EXIT_OK
-
-
-def _read_counts(path: str) -> list[float]:
-    """Counts from a CSV; uses the last column, tolerating a header row."""
-    counts: list[float] = []
-    for lineno, row in enumerate(csv.reader(io.StringIO(_read_text(path))), start=1):
-        if not row:
-            continue
-        cell = row[-1].strip()
-        try:
-            value = float(cell)
-        except ValueError:
-            if lineno == 1:
-                continue
-            raise CorpusError(f"{path}:{lineno}: not a number: {cell!r}") from None
-        if not math.isfinite(value):
-            raise CorpusError(f"{path}:{lineno}: not a finite number: {cell!r}")
-        counts.append(value)
-    if not counts:
-        raise CorpusError(f"{path}: no counts found")
-    return counts
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    pre = _read_counts(args.pre_csv)
-    post = _read_counts(args.post_csv)
-    try:
-        comparison = compare_samples(post, pre)
-    except ValueError as exc:  # too few values to compare: a data error, not usage
-        raise CorpusError(str(exc)) from exc
-    print(json.dumps(asdict(comparison), sort_keys=True))
     return EXIT_OK
 
 

@@ -122,7 +122,7 @@ def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Do
     path = Path(path)
     try:
         raw_lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 
     docs: list[Document] = []

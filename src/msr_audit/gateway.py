@@ -360,8 +360,8 @@ def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | Non
 
 
 class GenerationCache:
-    """First-write-wins map from request key to completion text, optionally
-    persisted as JSON lines.
+    """First-write-wins map from request key to completion text, persisted
+    as JSON lines.
 
     Each line holds {"key", "output", "backend", "model", "temperature",
     "max_tokens", "seed", "created_at"}. Only "key" and "output" are read
@@ -372,16 +372,17 @@ class GenerationCache:
     concurrently.
     """
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
         self._outputs: dict[str, str] = {}
         self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        assert self.path is not None
-        with self.path.open("r", encoding="utf-8") as handle:
+        # Binary lines: json.loads decodes each one, so a line torn inside a
+        # multi-byte character is skipped like any other corrupt line.
+        with self.path.open("rb") as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -410,23 +411,22 @@ class GenerationCache:
             if existing is not None:
                 return existing
             self._outputs[key] = output
-            if self.path is not None:
-                line = json.dumps(
-                    {
-                        "key": key,
-                        "output": output,
-                        "backend": backend_name,
-                        "model": params.model,
-                        "temperature": params.temperature,
-                        "max_tokens": params.max_tokens,
-                        "seed": params.seed,
-                        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    },
-                    ensure_ascii=False,
-                )
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+            line = json.dumps(
+                {
+                    "key": key,
+                    "output": output,
+                    "backend": backend_name,
+                    "model": params.model,
+                    "temperature": params.temperature,
+                    "max_tokens": params.max_tokens,
+                    "seed": params.seed,
+                    "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                },
+                ensure_ascii=False,
+            )
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with self.path.open("a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
             return output
 
 

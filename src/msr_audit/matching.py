@@ -223,16 +223,11 @@ def maximal_common_substrings(
     return _matches(lengths, start_i, start_j)
 
 
-def longest_common_substring_len(ref_tokens: Sequence[str], gen_tokens: Sequence[str]) -> int:
-    """Length in words of the longest contiguous run present in both sequences."""
-    return int(maximal_common_substrings(ref_tokens, gen_tokens)[:, 0].max(initial=0))
-
-
 def longest_match_below(ref_tokens: Sequence[str], gen_tokens: Sequence[str], bound: int) -> int:
     """The longest common run's length in words, capped at ``bound - 1``.
 
-    For ``bound >= 1`` it equals
-    ``min(longest_common_substring_len(ref, gen), bound - 1)``. The
+    For ``bound >= 1`` it equals the longest row length of
+    ``maximal_common_substrings(ref, gen)``, capped at ``bound - 1``. The
     audit calls it for a pair with no run of ``bound`` words, where it is the
     longest match itself. It tries q = ``bound - 1`` down to 1 and returns
     the first q at which the two sides share a q-gram key (``_qgram_keys``

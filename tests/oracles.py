@@ -66,6 +66,11 @@ def oracle_rows(ref: Sequence[str], gen: Sequence[str]) -> list[list[int]]:
     return [list(m) for m in oracle_maximal_matches(ref, gen)]
 
 
+def longest_common_substring_len(ref: Sequence[str], gen: Sequence[str]) -> int:
+    """Length in words of the longest contiguous run present in both sequences."""
+    return max((m.length for m in oracle_maximal_matches(ref, gen)), default=0)
+
+
 def oracle_frequency_counts(
     lengths: Sequence[int], l_min: int, l_max: int, exact: bool = False
 ) -> tuple[int, ...]:

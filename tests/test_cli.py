@@ -7,6 +7,7 @@ import pytest
 from conftest import make_corpus, write_corpus_jsonl
 from stub_server import StubServer
 from msr_audit.cli import _config_from_args, build_parser, main
+from msr_audit.gateway import BackendError, PartialCopyBackend
 from msr_audit.runner import ExperimentConfig
 
 pytestmark = pytest.mark.usefixtures("_no_live_env")
@@ -133,13 +134,77 @@ def test_audit_live_without_url_exit_1(corpus_files, tmp_path, capsys):
     assert "MSR_BASE_URL" in capsys.readouterr().err
 
 
+def _frequencies(out):
+    return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("frequencies.csv"))}
+
+
+@pytest.mark.parametrize(
+    ("command", "audits"), [(["audit"], 1), (["sweep", "length", "--values", "80,100"], 2)], ids=["audit", "sweep"]
+)
+def test_rerun_over_cache_rescores_without_requests(corpus_files, tmp_path, monkeypatch, command, audits):
+    def argv(out, *extra):
+        return [*command, *_audit_args(pre, post, out, "--backend", "partial:0.5", *extra)[1:]]
+
+    pre, post = corpus_files
+    cache = tmp_path / "cache.jsonl"
+    assert main(argv(tmp_path / "first", "--cache", str(cache))) == 0
+    lines = cache.read_bytes()
+    fresh = {}
+    for i, extra in enumerate([("--lmin", "3"), ("--lmax", "6"), ("--exact-lengths",)]):
+        assert main(argv(tmp_path / f"fresh{i}", *extra)) == 0
+        fresh[extra] = _frequencies(tmp_path / f"fresh{i}")
+        assert fresh[extra] != _frequencies(tmp_path / "first")
+
+    calls = []
+    complete = PartialCopyBackend.complete
+
+    def refuse(self, transcript, params):
+        calls.append(1)
+        raise BackendError("no request may be sent")
+
+    monkeypatch.setattr(PartialCopyBackend, "complete", refuse)
+    for i, extra in enumerate(fresh):
+        assert main(argv(tmp_path / f"rescored{i}", "--cache", str(cache), *extra)) == 0
+        assert _frequencies(tmp_path / f"rescored{i}") == fresh[extra]
+    assert calls == []
+    assert cache.read_bytes() == lines
+
+    # A new shot count changes every transcript, so every key misses.
+    monkeypatch.setattr(PartialCopyBackend, "complete", lambda *args: calls.append(1) or complete(*args))
+    assert main(argv(tmp_path / "shots", "--cache", str(cache), "--shots", "4")) == 0
+    assert len(calls) == len(cache.read_bytes().splitlines()) - len(lines.splitlines()) == 6 * audits
+
+
+def test_rerun_over_cache_never_dials_the_live_backend(corpus_files, tmp_path):
+    pre, post = corpus_files
+    cache = tmp_path / "cache.jsonl"
+    with StubServer() as server:
+        live = ("--backend", "live", "--base-url", server.url, "--cache", str(cache))
+        assert main(_audit_args(pre, post, tmp_path / "first", *live)) == 0
+        sent = len(server.requests)
+        assert main(_audit_args(pre, post, tmp_path / "rescored", *live, "--lmin", "3", "--exact-lengths")) == 0
+    assert sent == 6 and len(server.requests) == sent
+
+
 def test_argparse_usage_errors_exit_1(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["audit", "--bogus-flag"])
-    assert excinfo.value.code == 1
-    with pytest.raises(SystemExit) as excinfo:
-        main([])
-    assert excinfo.value.code == 1
+    for argv in (["audit", "--bogus-flag"], [], ["stats", "a.csv", "b.csv"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+
+
+@pytest.mark.parametrize("command", ["audit", "transcript", "match"])
+def test_non_utf8_input_exit_2_names_the_file(corpus_files, tmp_path, capsys, command):
+    pre, post = corpus_files
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes('{"id": "x", "text": "caf\u00e9"}\n'.encode("latin-1"))
+    argv = {
+        "audit": _audit_args(bad, post, tmp_path / "r"),
+        "transcript": ["transcript", "--corpus", str(bad), "--doc", "x"],
+        "match": ["match", str(bad), str(pre)],
+    }[command]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_version_flag():
@@ -300,55 +365,6 @@ def test_match_bad_bounds_exit_1(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("x", encoding="utf-8")
     assert main(["match", str(f), str(f), "--lmin", "9", "--lmax", "3"]) == 1
-
-
-def test_stats_command(tmp_path, capsys):
-    pre = tmp_path / "pre.csv"
-    post = tmp_path / "post.csv"
-    pre.write_text("k,count\n" + "\n".join(f"{k},{17 - k}" for k in range(5, 13)), encoding="utf-8")
-    post.write_text("k,count\n" + "\n".join(f"{k},0" for k in range(5, 13)), encoding="utf-8")
-    assert main(["stats", str(pre), str(post)]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["delta"] == -1.0
-    assert result["ks"] == 1.0
-    assert result["n_first"] == 8 and result["n_second"] == 8
-
-
-def test_stats_headerless_single_column(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("3\n2\n1\n", encoding="utf-8")
-    b.write_text("9\n8\n7\n", encoding="utf-8")
-    assert main(["stats", str(a), str(b)]) == 0
-    assert json.loads(capsys.readouterr().out)["delta"] == 1.0  # post exceeds pre
-
-
-def test_stats_garbage_exit_2(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("1\n2\n", encoding="utf-8")
-    b.write_text("1\nnot-a-number\n", encoding="utf-8")
-    assert main(["stats", str(a), str(b)]) == 2
-    assert "not a number" in capsys.readouterr().err
-
-
-def test_stats_too_few_values_exit_2(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("1\n", encoding="utf-8")
-    b.write_text("2\n", encoding="utf-8")
-    assert main(["stats", str(a), str(b)]) == 2
-    assert "at least 3 values" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-def test_stats_non_finite_exit_2(tmp_path, capsys, cell):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    a.write_text("1\n2\n", encoding="utf-8")
-    b.write_text(f"k,count\n5,1\n6,{cell}\n", encoding="utf-8")
-    assert main(["stats", str(a), str(b)]) == 2
-    assert "not a finite number" in capsys.readouterr().err
 
 
 def test_transcript_command(tmp_path, capsys):

@@ -169,8 +169,8 @@ def _store(cache, key, output="gen text"):
     return cache.store(key, output, "verbatim", GenerationParams())
 
 
-def test_cache_first_write_wins():
-    cache = GenerationCache()
+def test_cache_first_write_wins(tmp_path):
+    cache = GenerationCache(tmp_path / "cache.jsonl")
     assert _store(cache, "k1", "first") == "first"
     assert _store(cache, "k1", "second") == "first"
     assert cache.lookup("k1") == "first"
@@ -236,6 +236,21 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert cache.lookup("k1") == "kept"
     assert cache.lookup("k2") is None
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
+
+
+def test_cache_skips_line_torn_inside_a_character(tmp_path, caplog):
+    # An interrupted append can stop inside a multi-byte UTF-8 character.
+    path = tmp_path / "cache.jsonl"
+    cache = GenerationCache(path)
+    _store(cache, "k1", "café")
+    _store(cache, "k2", "naïve")
+    torn = json.dumps({"key": "k3", "output": "déjà"}, ensure_ascii=False).encode("utf-8")
+    with path.open("ab") as handle:
+        handle.write(torn[: torn.index("é".encode("utf-8")) + 1])
+    with caplog.at_level(logging.WARNING):
+        reloaded = GenerationCache(path)
+    assert (reloaded.lookup("k1"), reloaded.lookup("k2"), reloaded.lookup("k3")) == ("café", "naïve", None)
+    assert len(caplog.records) == 1 and "corrupt cache line 3:" in caplog.records[0].message
 
 
 _PROVENANCE = {"backend": "verbatim", "model": "mock", "temperature": 0.1, "created_at": "2026-01-01T00:00:00+00:00"}
@@ -327,10 +342,10 @@ def test_generate_returns_tokenized_completion():
     assert completion.tokens == transcript.reference_tokens
 
 
-def test_generate_uses_cache():
+def test_generate_uses_cache(tmp_path):
     transcript = _transcript()
     backend = CountingBackend(VerbatimBackend())
-    cache = GenerationCache()
+    cache = GenerationCache(tmp_path / "cache.jsonl")
     params = GenerationParams()
     generate_batch(backend, [transcript], params, cache=cache)
     generate_batch(backend, [transcript], params, cache=cache)
@@ -339,9 +354,9 @@ def test_generate_uses_cache():
     assert backend.calls == 2
 
 
-def test_generate_batch_returns_stored_output_on_cache_hit():
+def test_generate_batch_returns_stored_output_on_cache_hit(tmp_path):
     transcript = _transcript()
-    cache = GenerationCache()
+    cache = GenerationCache(tmp_path / "cache.jsonl")
     params = GenerationParams()
     backend = CountingBackend(VerbatimBackend())
     [stored] = generate_batch(backend, [transcript], params, cache=cache)
@@ -371,9 +386,9 @@ def test_generate_batch_serves_empty_completion_from_cache_file(tmp_path):
     assert hit == stored
 
 
-def test_generate_batch_never_caches_failures():
+def test_generate_batch_never_caches_failures(tmp_path):
     transcript = _transcript(tag="bad")
-    cache = GenerationCache()
+    cache = GenerationCache(tmp_path / "cache.jsonl")
     params = GenerationParams()
     [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
     assert failed.error is not None
@@ -383,7 +398,7 @@ def test_generate_batch_never_caches_failures():
     assert retried.error is None and backend.calls == 1
 
 
-def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
+def test_generate_batch_computes_request_key_once_per_item(monkeypatch, tmp_path):
     import msr_audit.gateway as gateway
 
     calls = []
@@ -391,7 +406,7 @@ def test_generate_batch_computes_request_key_once_per_item(monkeypatch):
     monkeypatch.setattr(gateway, "request_key", lambda *args: calls.append(1) or original(*args))
     transcripts = [_transcript(tag="ok"), _transcript(tag="bad")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
-    records = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache())
+    records = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache(tmp_path / "cache.jsonl"))
     assert [r.error is None for r in records] == [True, False]
     assert len(calls) == 2
 
@@ -421,10 +436,10 @@ def test_generate_batch_validation_and_empty():
     assert generate_batch(VerbatimBackend(), [], GenerationParams()) == []
 
 
-def test_generate_batch_skips_cached_entries():
+def test_generate_batch_skips_cached_entries(tmp_path):
     transcripts = [_transcript(tag=f"t{i}") for i in range(10)]
     params = GenerationParams()
-    cache = GenerationCache()
+    cache = GenerationCache(tmp_path / "cache.jsonl")
     generate_batch(VerbatimBackend(), transcripts[:4], params, cache=cache)
 
     backend = CountingBackend(VerbatimBackend())
