@@ -46,9 +46,9 @@ class TokenizedDocument:
     """Word-token view of a document.
 
     ``tokens`` is a read-only (n, 2) int32 array of half-open character
-    spans into ``text``, one row per word (8 bytes a word), so
-    ``len(tokens)`` is the word count. Equality is identity, as numpy arrays
-    have no single truth value.
+    spans into ``text``, one row per word (8 bytes a word), for the first
+    words up to the tokenizing limit, so ``len(tokens)`` is min(word count,
+    limit). Equality is identity, as numpy arrays have no single truth value.
     """
 
     id: str
@@ -57,7 +57,17 @@ class TokenizedDocument:
     tokens: np.ndarray
 
 
-def tokenize(text: str) -> np.ndarray:
+def _spans(text: str) -> np.ndarray:
+    """Every word span of ``text``, as ``tokenize`` returns them."""
+    if len(text) >= 2**31:
+        raise CorpusError(f"text has {len(text)} code points; int32 token offsets need fewer than 2**31")
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    space = np.ones(len(codes) + 2, dtype=bool)
+    _IS_SPACE.take(codes, out=space[1:-1], mode="clip")
+    return np.flatnonzero(np.diff(space)).astype(np.int32).reshape(-1, 2)
+
+
+def tokenize(text: str, limit: int | None = None) -> np.ndarray:
     """Spans of the maximal runs of non-whitespace characters in ``text``.
 
     Returns a read-only (n, 2) int32 array of half-open [start, end)
@@ -66,26 +76,43 @@ def tokenize(text: str) -> np.ndarray:
     spans cover. Case is preserved and punctuation stays attached to its
     word, so matching downstream is strictly verbatim. Empty text yields
     shape (0, 2). A text of 2**31 or more code points, whose offsets int32
-    cannot hold, raises ``CorpusError``.
+    cannot hold, raises ``CorpusError`` when it has to be scanned whole.
+
+    With a ``limit`` (at least 1), only the first ``limit`` spans are
+    returned, so n is min(word count, limit). They come from a prefix of the
+    text that holds more than ``limit`` words: the next word starts after
+    the last kept one ends, so the kept spans are those of a full scan. The
+    prefix starts at 8 characters a word and doubles, so no text costs much
+    more than one full scan; a text with no such prefix is scanned whole.
     """
-    if len(text) >= 2**31:
-        raise CorpusError(f"text has {len(text)} code points; int32 token offsets need fewer than 2**31")
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    space = np.ones(len(codes) + 2, dtype=bool)
-    _IS_SPACE.take(codes, out=space[1:-1], mode="clip")
-    spans = np.flatnonzero(np.diff(space)).astype(np.int32).reshape(-1, 2)
+    if limit is not None and limit < 1:
+        raise ValueError(f"word limit must be >= 1, got {limit}")
+    end = len(text) if limit is None else 8 * limit
+    while True:
+        whole = end >= len(text)
+        spans = _spans(text if whole else text[:end])
+        if limit is not None and len(spans) > limit:
+            spans = spans[:limit].copy()
+            break
+        if whole:
+            break
+        end *= 2
     spans.flags.writeable = False
     return spans
 
 
-def tokenize_document(doc: Document, lowercase: bool = False) -> TokenizedDocument:
+def tokenize_document(
+    doc: Document, lowercase: bool = False, limit: int | None = None
+) -> TokenizedDocument:
     """Tokenize a document, optionally lowercasing the text first.
 
     Lowercasing is applied to the whole text before splitting so token spans
-    stay consistent with the stored text.
+    stay consistent with the stored text. ``limit`` keeps only the first
+    ``limit`` words, as in ``tokenize``, so ``len(tokens)`` is min(word
+    count, limit).
     """
     text = doc.text.lower() if lowercase else doc.text
-    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokenize(text))
+    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokenize(text, limit))
 
 
 def _parse_record(raw: dict, lineno: int, cohort_override: str | None) -> Document:

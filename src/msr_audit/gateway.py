@@ -425,8 +425,14 @@ class GenerationCache:
                 ensure_ascii=False,
             )
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with self.path.open("a+b") as handle:
+                # After an interrupted write the file ends mid-line; start a
+                # new line, or this record would join the torn one.
+                if handle.tell():
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        line = "\n" + line
+                handle.write((line + "\n").encode("utf-8"))
             return output
 
 

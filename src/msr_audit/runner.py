@@ -14,7 +14,7 @@ from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from msr_audit.corpus import (
     COHORTS,
@@ -43,7 +43,6 @@ from msr_audit.matching import (
 from msr_audit.prompting import (
     DEFAULT_SYSTEM_PROMPT,
     GeneratedCompletion,
-    Transcript,
     build_transcript,
     segment,
 )
@@ -96,6 +95,8 @@ class ExperimentConfig:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.max_tokens is not None and self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.truncate_words is not None and self.truncate_words < self.shots:
             raise ValueError(
                 f"truncation to {self.truncate_words} words cannot fill {self.shots} segments"
@@ -159,9 +160,21 @@ def _cohort_backends(
     yield mapping
 
 
-def _eligible(corpus: Sequence[Document], config: ExperimentConfig) -> list[TokenizedDocument]:
-    """Tokenize every document and drop those at or below ``min_words``."""
-    tokenized = [tokenize_document(doc, lowercase=config.lowercase) for doc in corpus]
+def _word_limit(configs: Collection[ExperimentConfig]) -> int | None:
+    """The most words any of ``configs`` reads of a document: its largest
+    truncation, and always past ``min_words`` so the length filter decides
+    as on the whole text. None when one of them reads every word."""
+    if any(config.truncate_words is None for config in configs):
+        return None
+    return max(max(config.truncate_words, config.min_words + 1) for config in configs)
+
+
+def _eligible(
+    corpus: Sequence[Document], config: ExperimentConfig, limit: int | None
+) -> list[TokenizedDocument]:
+    """Tokenize every document up to ``limit`` words and drop those at or
+    below ``min_words``."""
+    tokenized = [tokenize_document(doc, lowercase=config.lowercase, limit=limit) for doc in corpus]
     return filter_by_length(tokenized, config.min_words)
 
 
@@ -170,14 +183,59 @@ def _cache(config: ExperimentConfig) -> GenerationCache | None:
     return GenerationCache(config.cache_path) if config.cache_path is not None else None
 
 
+def _score_cohort(
+    segmented: Sequence[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]],
+    config: ExperimentConfig,
+    backend: Backend,
+    params: GenerationParams,
+    cache: GenerationCache | None,
+) -> list[DocumentMatchSummary | None]:
+    """Build one cohort's transcripts, complete them in one batch and score
+    each record; None for a document whose generation failed. The
+    transcripts and records are released on return, so an audit holds one
+    cohort's at a time."""
+    transcripts = [
+        build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented
+    ]
+    records = generate_batch(
+        backend, transcripts, params, max_in_flight=config.max_in_flight, cache=cache
+    )
+    summaries: list[DocumentMatchSummary | None] = []
+    for (doc, _), transcript, record in zip(segmented, transcripts, records):
+        if record.error is not None:
+            logger.warning("generation failed for document %r: %s", doc.id, record.error)
+            summaries.append(None)
+            continue
+        if not record.output_text:
+            logger.warning("empty completion for document %r; will count as zero-match", doc.id)
+        text = record.output_text.lower() if config.lowercase else record.output_text
+        completion = GeneratedCompletion.from_text(text)
+        reference = transcript.reference_tokens
+        matches = maximal_common_substrings(reference, completion.tokens, config.l_min)
+        lengths = matches[:, 0]
+        counts = frequency_array(
+            lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths
+        )
+        # The kernel skips runs shorter than l_min; when it found none, the
+        # longest match is one of those.
+        if len(lengths):
+            longest = int(lengths.max())
+        else:
+            longest = longest_match_below(reference, completion.tokens, config.l_min)
+        summaries.append(
+            DocumentMatchSummary(doc_id=doc.id, cohort=doc.cohort, longest_match=longest, counts=counts)
+        )
+    return summaries
+
+
 def _audit(
     eligible: Sequence[TokenizedDocument],
     config: ExperimentConfig,
     backend_map: Mapping[str, Backend],
     cache: GenerationCache | None,
 ) -> AuditReport:
-    """Prepare (truncate, segment, transcript), generate and score
-    already-tokenized documents in corpus order, then compare the cohorts."""
+    """Truncate and segment already-tokenized documents, then per cohort
+    build transcripts, generate and score, and compare the cohorts."""
     params = GenerationParams(
         model=config.model,
         temperature=config.temperature,
@@ -188,60 +246,32 @@ def _audit(
     if config.truncate_words is not None:
         eligible = [truncate(doc, config.truncate_words) for doc in eligible]
 
-    prepared: list[tuple[TokenizedDocument, Transcript]] = []
+    # Segment every document before any request, so a cohort that
+    # segmentation empties sends none.
+    segmented: list[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]] = []
     for doc in eligible:
         try:
-            bounds = segment(doc, config.shots)
-            transcript = build_transcript(doc, bounds, system_prompt=config.system_prompt)
+            segmented.append((doc, segment(doc, config.shots)))
         except ValueError as exc:
             logger.warning("skipping document %r: %s", doc.id, exc)
-            continue
-        prepared.append((doc, transcript))
 
     for cohort in COHORTS:
-        if not any(doc.cohort == cohort for doc, _ in prepared):
+        if not any(doc.cohort == cohort for doc, _ in segmented):
             raise CorpusError(f"cohort {cohort!r} is empty after filtering")
 
-    # Scoring each batch as it returns holds one cohort's records at a time;
-    # each summary goes to its document's corpus-order slot.
-    scored: list[DocumentMatchSummary | None] = [None] * len(prepared)
+    # Each summary goes to its document's corpus-order slot.
+    scored: list[DocumentMatchSummary | None] = [None] * len(segmented)
     for cohort in COHORTS:
-        slots = [i for i, (doc, _) in enumerate(prepared) if doc.cohort == cohort]
-        records = generate_batch(
-            backend_map[cohort],
-            [prepared[i][1] for i in slots],
-            params,
-            max_in_flight=config.max_in_flight,
-            cache=cache,
+        slots = [i for i, (doc, _) in enumerate(segmented) if doc.cohort == cohort]
+        summaries = _score_cohort(
+            [segmented[i] for i in slots], config, backend_map[cohort], params, cache
         )
-        for i, record in zip(slots, records):
-            doc, transcript = prepared[i]
-            if record.error is not None:
-                logger.warning("generation failed for document %r: %s", doc.id, record.error)
-                continue
-            if not record.output_text:
-                logger.warning("empty completion for document %r; will count as zero-match", doc.id)
-            text = record.output_text.lower() if config.lowercase else record.output_text
-            completion = GeneratedCompletion.from_text(text)
-            reference = transcript.reference_tokens
-            matches = maximal_common_substrings(reference, completion.tokens, config.l_min)
-            lengths = matches[:, 0]
-            counts = frequency_array(
-                lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths
-            )
-            # The kernel skips runs shorter than l_min; when it found none,
-            # the longest match is one of those.
-            if len(lengths):
-                longest = int(lengths.max())
-            else:
-                longest = longest_match_below(reference, completion.tokens, config.l_min)
-            scored[i] = DocumentMatchSummary(
-                doc_id=doc.id, cohort=cohort, longest_match=longest, counts=counts
-            )
-        if all(scored[i] is None for i in slots):
-            # Documents were prepared but every generation failed, so this is
-            # the backend's fault rather than the corpus's.
+        if all(summary is None for summary in summaries):
+            # Documents were segmented but every generation failed, so this
+            # is the backend's fault rather than the corpus's.
             raise BackendError(f"empty cohort results for {cohort!r}: all {len(slots)} generations failed")
+        for i, summary in zip(slots, summaries):
+            scored[i] = summary
 
     documents = tuple(summary for summary in scored if summary is not None)
     f_pre, f_post = (
@@ -277,7 +307,8 @@ def run_audit(
     """
     config.validate()
     with _cohort_backends(config, backends) as backend_map:
-        return _audit(_eligible(corpus, config), config, backend_map, _cache(config))
+        eligible = _eligible(corpus, config, _word_limit([config]))
+        return _audit(eligible, config, backend_map, _cache(config))
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
@@ -310,7 +341,7 @@ def sweep(
     for candidate in configs.values():
         candidate.validate()
     with _cohort_backends(config, backends) as backend_map:
-        eligible = _eligible(corpus, config)
+        eligible = _eligible(corpus, config, _word_limit(configs.values()))
         cache = _cache(config)
         return {value: _audit(eligible, configs[value], backend_map, cache) for value in values}
 

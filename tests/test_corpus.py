@@ -90,6 +90,37 @@ def test_tokenize_matches_regex_oracle(text):
     assert [tuple(span) for span in tokenize(text).tolist()] == oracle_token_spans(text)
 
 
+# Words of up to 20 characters, past the 8 a word the first prefix allows,
+# after single Unicode whitespace characters or long runs of it.
+_GAPS = st.one_of(
+    st.sampled_from([" ", "\u3000", "\x85", "\u2028", "\t\n"]),
+    st.integers(2, 40).map(lambda n: " \u3000" * (n // 2)),
+)
+_WORDS = st.text(alphabet="ab\u00e9\U0001f600", min_size=1, max_size=20)
+
+
+@given(st.lists(st.tuples(_GAPS, _WORDS).map("".join), max_size=30).map("".join), _GAPS)
+def test_tokenize_limit_keeps_the_first_spans_of_a_full_scan(text, tail):
+    text += tail
+    full = tokenize(text)
+    for limit in range(1, len(full) + 3):
+        spans = tokenize(text, limit)
+        assert spans.tolist() == full[:limit].tolist()
+        assert spans.dtype == np.int32 and not spans.flags.writeable
+
+
+def test_tokenize_limit_below_one_is_rejected():
+    with pytest.raises(ValueError, match="limit"):
+        tokenize("a b", 0)
+
+
+def test_tokenize_document_limit():
+    doc = Document(id="d", cohort="pre", text="One two  Three\u3000four five")
+    tokenized = tokenize_document(doc, lowercase=True, limit=3)
+    assert tokenized.text == "one two  three\u3000four five"
+    assert _words(tokenized.text, tokenized.tokens) == ["one", "two", "three"]
+
+
 def test_tokenize_document_memory_and_read_only():
     rng = random.Random(8000)
     text = " ".join(f"w{rng.randrange(20_000)}" for _ in range(8000))

@@ -253,6 +253,23 @@ def test_cache_skips_line_torn_inside_a_character(tmp_path, caplog):
     assert len(caplog.records) == 1 and "corrupt cache line 3:" in caplog.records[0].message
 
 
+def test_cache_store_after_a_torn_last_line_starts_a_new_line(tmp_path, caplog):
+    # An interrupted append leaves a last line with no newline; the next
+    # store must not land on it.
+    path = tmp_path / "cache.jsonl"
+    _store(GenerationCache(path), "k1", "kept")
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write('{"key": "k2", "outp')
+    with caplog.at_level(logging.WARNING):
+        _store(GenerationCache(path), "k3", "stored")
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        reloaded = GenerationCache(path)
+    assert (reloaded.lookup("k1"), reloaded.lookup("k2"), reloaded.lookup("k3")) == ("kept", None, "stored")
+    assert len(caplog.records) == 1 and "corrupt cache line 2:" in caplog.records[0].message
+    assert path.read_bytes().endswith(b"\n")
+
+
 _PROVENANCE = {"backend": "verbatim", "model": "mock", "temperature": 0.1, "created_at": "2026-01-01T00:00:00+00:00"}
 
 

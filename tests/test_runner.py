@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import logging
+import random
+import re
+import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -60,11 +64,20 @@ def test_config_defaults_match_documented_protocol():
         {"truncate_words": 4, "shots": 6},
         {"truncate_words": 10, "shots": 6, "l_min": 5},  # resolved l_max 1 < l_min
         {"l_max": 4, "l_min": 5},
+        {"max_tokens": 0},
     ],
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs).validate()
+
+
+def test_run_audit_rejects_max_tokens_before_tokenizing(small_corpus, small_config, monkeypatch):
+    calls = []
+    monkeypatch.setattr(runner, "tokenize_document", lambda doc, **kw: calls.append(doc.id))
+    with pytest.raises(ValueError, match="max_tokens"):
+        run_audit(small_corpus, replace(small_config, max_tokens=0), backends=SPLIT)
+    assert calls == []
 
 
 def test_resolved_l_max():
@@ -451,6 +464,125 @@ def test_sweep_tokenizes_each_document_once(small_corpus, small_config, monkeypa
     reports = sweep(small_corpus, small_config, "length", [60, 90, 120], backends=SPLIT)
     assert len(reports) == 3
     assert sorted(calls) == sorted(doc.id for doc in small_corpus)
+
+
+# ------------------------------------------------------ what an audit holds
+
+
+def _mixed_corpus() -> list[Document]:
+    """Documents of 40-400 words over a small mixed-case vocabulary,
+    separated by Unicode whitespace; some fall to the length filter."""
+    rng = random.Random(17)
+    separators = [" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\x85", "\u2028"]
+    docs = []
+    for i in range(12):
+        cohort = ("pre", "post")[i % 2]
+        words = [f"{rng.choice('wW')}{rng.randrange(30)}" for _ in range(rng.randrange(40, 400))]
+        text = "".join(word + rng.choice(separators) for word in words)
+        docs.append(Document(id=f"{cohort}-{i}", cohort=cohort, text=text))
+    return docs
+
+
+_MIXED_BACKENDS = {"pre": PartialCopyBackend(0.6), "post": PartialCopyBackend(0.2)}
+
+
+def _recording_tokenize(monkeypatch) -> list[tuple[str, int]]:
+    """Patch the runner's tokenize_document to record (doc id, spans kept)."""
+    kept = []
+    original = runner.tokenize_document
+
+    def recording(doc, **kwargs):
+        tokenized = original(doc, **kwargs)
+        kept.append((doc.id, len(tokenized.tokens)))
+        return tokenized
+
+    monkeypatch.setattr(runner, "tokenize_document", recording)
+    return kept
+
+
+def _run(dimension, changes, values):
+    config = replace(ExperimentConfig(min_words=50, l_min=2, l_max=8, shots=6), **changes)
+    if dimension is None:
+        return {None: run_audit(_mixed_corpus(), config, backends=_MIXED_BACKENDS)}
+    return sweep(_mixed_corpus(), config, dimension, values, backends=_MIXED_BACKENDS)
+
+
+@pytest.mark.parametrize(
+    "dimension, changes, values, limit",
+    [
+        pytest.param(None, {"truncate_words": 60}, None, 60, id="audit-truncate"),
+        pytest.param(None, {"truncate_words": 60, "min_words": 100}, None, 101, id="audit-min-words"),
+        pytest.param("length", {}, [60, 90, 120], 120, id="sweep-length"),
+        pytest.param("shots", {"truncate_words": 90}, [2, 6], 90, id="sweep-shots"),
+        pytest.param("length", {}, [60, None], None, id="sweep-length-whole"),  # None reads every word
+    ],
+)
+def test_runs_tokenize_each_document_once_up_to_the_word_limit(monkeypatch, dimension, changes, values, limit):
+    kept = _recording_tokenize(monkeypatch)
+    _run(dimension, changes, values)
+    words = {doc.id: len(doc.text.split()) for doc in _mixed_corpus()}
+    assert sorted(doc_id for doc_id, _ in kept) == sorted(words)
+    assert dict(kept) == {doc_id: min(n, limit or n) for doc_id, n in words.items()}
+
+
+def _emitted(reports, out) -> dict:
+    """Each report's frequencies.csv and summary.json bytes, less created_at."""
+    emitted = {}
+    for value, report in reports.items():
+        paths = emit_report(report, out / str(value))
+        summary = re.sub(rb'"created_at": "[^"]*"', b"", paths["summary"].read_bytes())
+        emitted[value] = (paths["frequencies"].read_bytes(), summary)
+    return emitted
+
+
+@pytest.mark.parametrize(
+    "dimension, changes, values",
+    [
+        pytest.param(None, {"truncate_words": 60}, None, id="audit-truncate"),
+        pytest.param(None, {"truncate_words": 60, "lowercase": True}, None, id="audit-lowercase-truncate"),
+        pytest.param(None, {"truncate_words": 60, "min_words": 100}, None, id="audit-min-words"),
+        pytest.param(None, {}, None, id="audit"),
+        pytest.param("length", {}, [60, 90, 120], id="sweep-length"),
+    ],
+)
+def test_word_limit_leaves_outputs_byte_identical(tmp_path, monkeypatch, dimension, changes, values):
+    limited = _emitted(_run(dimension, changes, values), tmp_path / "limited")
+    monkeypatch.setattr(runner, "_word_limit", lambda configs: None)
+    whole = _emitted(_run(dimension, changes, values), tmp_path / "whole")
+    assert limited == whole
+    assert any(b",0,0\n" not in csv for csv, _ in limited.values())  # the runs count matches
+
+
+def test_audit_releases_pre_transcripts_before_the_post_batch(small_corpus, small_config, monkeypatch):
+    pre_refs: list[weakref.ref] = []
+    alive_at_post = []
+    original = runner.generate_batch
+
+    def watching(backend, transcripts, *args, **kwargs):
+        if pre_refs:
+            alive_at_post.append(sum(ref() is not None for ref in pre_refs))
+        else:
+            pre_refs.extend(map(weakref.ref, transcripts))
+        return original(backend, transcripts, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "generate_batch", watching)
+    run_audit(small_corpus, small_config, backends=SPLIT)
+    assert len(pre_refs) == 3
+    assert alive_at_post == [0]
+
+
+def test_truncated_audit_memory_follows_the_truncation_not_the_document():
+    corpus = make_corpus(n_pre=2, n_post=2, words=40_000)
+    config = ExperimentConfig(truncate_words=1200)  # min_words 1000: the first 1,200 words are read
+    run_audit(make_corpus(n_pre=2, n_post=2, words=1300), config, backends=SPLIT)  # warm-up
+    tracemalloc.start()
+    try:
+        report = run_audit(corpus, config, backends=SPLIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.n_docs_pre == report.n_docs_post == 2
+    assert peak < 2**20, f"audit peak {peak / 2**20:.2f} MB"
 
 
 def test_sweep_length(small_corpus, small_config):
