@@ -148,7 +148,7 @@ def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Do
         raise CorpusError(f"cohort_override must be one of {COHORTS}, got {cohort_override!r}")
     path = Path(path)
     try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        raw_lines = path.read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 

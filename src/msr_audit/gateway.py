@@ -20,6 +20,7 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import cycle
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,32 +64,28 @@ class GenerationRecord:
     error: str | None = None
 
 
-def transcript_messages(transcript: Transcript) -> list[dict[str, str]]:
-    """Wire-format message list: system prompt followed by the faux turns."""
+def request_body(transcript: Transcript, params: GenerationParams) -> dict:
+    """The chat-completions request: the system prompt, then the faux turns,
+    which alternate user and assistant from a user turn. ``max_tokens=None``
+    (auto; it is never 0) resolves to ceil(1.5 x reference token count).
+    """
     messages = [{"role": "system", "content": transcript.system_prompt}]
-    messages.extend({"role": t.role, "content": t.text} for t in transcript.turns)
-    return messages
-
-
-def resolve_max_tokens(transcript: Transcript, params: GenerationParams) -> int:
-    if params.max_tokens is not None:
-        return params.max_tokens
-    return math.ceil(1.5 * len(transcript.reference_tokens))
+    messages.extend(
+        {"role": role, "content": text} for role, text in zip(cycle(("user", "assistant")), transcript.turns)
+    )
+    return {
+        "model": params.model,
+        "messages": messages,
+        "temperature": params.temperature,
+        "max_tokens": params.max_tokens or math.ceil(1.5 * len(transcript.reference_tokens)),
+    }
 
 
 def request_key(backend: Backend, transcript: Transcript, params: GenerationParams) -> str:
-    """Hex digest of the canonical request.
-
-    Covers the backend name, the output-relevant parameters, and the full
-    transcript content. The seed participates only for backends that use it.
+    """Hex digest of the canonical request: ``request_body`` plus the backend
+    name, and the seed for backends that use it.
     """
-    payload: dict = {
-        "backend": backend.name,
-        "model": params.model,
-        "temperature": params.temperature,
-        "max_tokens": resolve_max_tokens(transcript, params),
-        "messages": transcript_messages(transcript),
-    }
+    payload = {**request_body(transcript, params), "backend": backend.name}
     if backend.uses_seed:
         payload["seed"] = params.seed if params.seed is not None else 0
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
@@ -253,14 +250,7 @@ class LiveBackend(Backend):
             conn.close()
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
-        body = json.dumps(
-            {
-                "model": params.model,
-                "messages": transcript_messages(transcript),
-                "temperature": params.temperature,
-                "max_tokens": resolve_max_tokens(transcript, params),
-            }
-        ).encode("utf-8")
+        body = json.dumps(request_body(transcript, params)).encode("utf-8")
 
         last_error = "no attempts made"
         for attempt in range(self.max_attempts):
@@ -270,6 +260,9 @@ class LiveBackend(Backend):
                 self._sleep(delay)
             try:
                 status, data = self._post(body)
+            except ssl.SSLCertVerificationError as exc:
+                # An untrusted certificate stays untrusted; retrying only waits.
+                raise BackendError(f"certificate verification failed for {self.url}: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"network error: {exc}"
                 continue

@@ -84,19 +84,23 @@ class ExperimentConfig:
             return min(self.l_max, self.truncate_words // self.shots)
         return self.l_max
 
+    @property
+    def params(self) -> GenerationParams:
+        """The request parameters every generation of this config sends."""
+        return GenerationParams(
+            model=self.model, temperature=self.temperature, max_tokens=self.max_tokens, seed=self.seed
+        )
+
     def validate(self) -> None:
         if self.shots < 2 or self.shots % 2:
             raise ValueError(f"shots must be an even number >= 2, got {self.shots}")
         if self.l_min < 1:
             raise ValueError(f"l_min must be >= 1, got {self.l_min}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        self.params  # checks temperature and max_tokens
         if self.min_words < 0:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        if self.max_tokens is not None and self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.truncate_words is not None and self.truncate_words < self.shots:
             raise ValueError(
                 f"truncation to {self.truncate_words} words cannot fill {self.shots} segments"
@@ -187,7 +191,6 @@ def _score_cohort(
     segmented: Sequence[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]],
     config: ExperimentConfig,
     backend: Backend,
-    params: GenerationParams,
     cache: GenerationCache | None,
 ) -> list[DocumentMatchSummary | None]:
     """Build one cohort's transcripts, complete them in one batch and score
@@ -198,7 +201,7 @@ def _score_cohort(
         build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented
     ]
     records = generate_batch(
-        backend, transcripts, params, max_in_flight=config.max_in_flight, cache=cache
+        backend, transcripts, config.params, max_in_flight=config.max_in_flight, cache=cache
     )
     summaries: list[DocumentMatchSummary | None] = []
     for (doc, _), transcript, record in zip(segmented, transcripts, records):
@@ -236,13 +239,6 @@ def _audit(
 ) -> AuditReport:
     """Truncate and segment already-tokenized documents, then per cohort
     build transcripts, generate and score, and compare the cohorts."""
-    params = GenerationParams(
-        model=config.model,
-        temperature=config.temperature,
-        max_tokens=config.max_tokens,
-        seed=config.seed,
-    )
-
     if config.truncate_words is not None:
         eligible = [truncate(doc, config.truncate_words) for doc in eligible]
 
@@ -264,7 +260,7 @@ def _audit(
     for cohort in COHORTS:
         slots = [i for i, (doc, _) in enumerate(segmented) if doc.cohort == cohort]
         summaries = _score_cohort(
-            [segmented[i] for i in slots], config, backend_map[cohort], params, cache
+            [segmented[i] for i in slots], config, backend_map[cohort], cache
         )
         if all(summary is None for summary in summaries):
             # Documents were segmented but every generation failed, so this

@@ -16,6 +16,14 @@ def synthetic_text(tag: str, n_words: int) -> str:
     return " ".join(f"{tag}w{i}" for i in range(n_words))
 
 
+# Non-ASCII text with tab, newline and CRLF whitespace, 21 words; golden
+# request keys and transcript renderings are pinned on it.
+UNICODE_TEXT = (
+    "Ça démarre\tici : naïve café, «guillemets» et 東京\n\ncontinue  sans fin — "
+    "über straße ØRE 𝔘nicode\tligne\r\nfinale ĳ ok"
+)
+
+
 def make_corpus(n_pre: int = 3, n_post: int = 3, words: int = 120) -> list[Document]:
     docs = [
         Document(id=f"pre-{i}", cohort="pre", text=synthetic_text(f"p{i}", words))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import make_corpus, write_corpus_jsonl
+from conftest import UNICODE_TEXT, make_corpus, write_corpus_jsonl
 from stub_server import StubServer
 from msr_audit.cli import _config_from_args, build_parser, main
 from msr_audit.gateway import BackendError, PartialCopyBackend
@@ -376,6 +376,23 @@ def test_transcript_command(tmp_path, capsys):
     assert out.count("User: ") == 3
     assert out.count("Assistant: ") == 2
     assert "[held-out reference] " in out
+
+
+def test_transcript_command_output_is_byte_stable(tmp_path, capsys):
+    # Roles follow from a turn's position; pin the whole rendering, with
+    # non-ASCII text and tab and newline whitespace inside the turns.
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(json.dumps({"id": "golden", "text": UNICODE_TEXT}, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert main(["transcript", "--corpus", str(corpus), "--doc", "golden", "--shots", "6"]) == 0
+    assert capsys.readouterr().out == (
+        "System: complete the paragraph\n"
+        "User: Ça démarre\tici :\n"
+        "Assistant: naïve café, «guillemets» et\n"
+        "User: 東京\n\ncontinue  sans fin\n"
+        "Assistant: — über straße\n"
+        "User: ØRE 𝔘nicode\tligne\n"
+        "[held-out reference] finale ĳ ok\n"
+    )
 
 
 def test_transcript_accepts_corpus_without_cohort_field(tmp_path, capsys):

@@ -195,6 +195,30 @@ def test_load_corpus_reports_line_numbers(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_load_corpus_keeps_unicode_line_separators_inside_records(tmp_path, separator):
+    # json.dumps(ensure_ascii=False) writes these characters unescaped.
+    text = f"one{separator}two three"
+    lines = [json.dumps({"id": "a", "cohort": "pre", "text": text}, ensure_ascii=False)]
+    lines += ['{"id": "b", "cohort": "post", "text": "t"}', "{not json"]
+    path = _write_lines(tmp_path / "c.jsonl", lines)
+    assert separator in path.read_text(encoding="utf-8")
+    with pytest.raises(CorpusError, match="line 3"):
+        load_corpus(path)
+    _write_lines(path, lines[:2])
+    assert [(d.id, d.text) for d in load_corpus(path)] == [("a", text), ("b", "t")]
+
+
+def test_load_corpus_reads_crlf_files(tmp_path):
+    path = tmp_path / "c.jsonl"
+    records = ['{"id": "a", "cohort": "pre", "text": "x\\r\\ny"}', "", '{"id": "b", "cohort": "post", "text": "t"}']
+    path.write_bytes("\r\n".join(records).encode("utf-8") + b"\r\n")
+    assert [(d.id, d.text) for d in load_corpus(path)] == [("a", "x\r\ny"), ("b", "t")]
+    path.write_bytes("\r\n".join(records + ["{not json"]).encode("utf-8"))
+    with pytest.raises(CorpusError, match="line 4"):
+        load_corpus(path)
+
+
 @pytest.mark.parametrize(
     "record, message",
     [

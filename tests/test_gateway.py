@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import ssl
 import threading
 from contextlib import closing
 from datetime import datetime
 
 import pytest
 
-from conftest import CountingBackend, FailingBackend
+from conftest import UNICODE_TEXT, CountingBackend, FailingBackend
 from stub_server import StubServer, completion_body
 from msr_audit.corpus import Document, tokenize_document
 from msr_audit.gateway import (
@@ -24,9 +25,8 @@ from msr_audit.gateway import (
     VerbatimBackend,
     backend_from_spec,
     generate_batch,
+    request_body,
     request_key,
-    resolve_max_tokens,
-    transcript_messages,
 )
 from msr_audit.matching import maximal_common_substrings
 from msr_audit.prompting import GeneratedCompletion, build_transcript, segment
@@ -47,18 +47,52 @@ def _transcript(n_words=60, shots=6, tag="w"):
 # ------------------------------------------------------------- request plumbing
 
 
-def test_transcript_messages_roles_and_order():
-    transcript = _transcript(60, 6)
-    messages = transcript_messages(transcript)
+def test_request_body_roles_order_and_max_tokens():
+    transcript = _transcript(60, 6)  # 10-token reference
+    body = request_body(transcript, GenerationParams())
+    assert list(body) == ["model", "messages", "temperature", "max_tokens"]
+    messages = body["messages"]
     assert messages[0] == {"role": "system", "content": transcript.system_prompt}
     assert [m["role"] for m in messages[1:]] == ["user", "assistant", "user", "assistant", "user"]
+    assert [m["content"] for m in messages[1:]] == list(transcript.turns)
     assert all(transcript.reference_text != m["content"] for m in messages)
+    assert body["max_tokens"] == 15
+    assert request_body(transcript, GenerationParams(max_tokens=7))["max_tokens"] == 7
 
 
-def test_resolve_max_tokens():
-    transcript = _transcript(60, 6)  # 10-token reference
-    assert resolve_max_tokens(transcript, GenerationParams()) == 15
-    assert resolve_max_tokens(transcript, GenerationParams(max_tokens=7)) == 7
+# Keys of fixed requests, one with a custom system prompt. They name the
+# completions in every existing cache file, so they must not change.
+GOLDEN_KEYS = {
+    ("custom6", "auto", "verbatim"): "82a454fcf1e1eea28289a737c94cd6b1172af6daaf1c716c0b3ab86c80278620",
+    ("custom6", "auto", "oblivious"): "378ebe83265b2afe9ad4531a31172282e53e567c02d05936813f25e8a7f32f5d",
+    ("custom6", "auto", "partial:0.5"): "938945a6b06d4f94b85069cd030737ac7991a33af7c74f61a7ebe2cecc3295f9",
+    ("custom6", "explicit", "verbatim"): "28e3dad2a393d8b49e7194751ae8a54e46ad1a85af3074f783d7ebcc30769729",
+    ("custom6", "explicit", "oblivious"): "441b80bb038e1b4693cc7f48e91b594c6a6d2b4a8652971623b99790f460f9fc",
+    ("custom6", "explicit", "partial:0.5"): "7a0ed93689328334af275873339377dfdc6f157de88b7effda33983b6d3e5f42",
+    ("default2", "auto", "verbatim"): "feaca4794f2f2ed3bdc9a8af30f809834c3814044fdcb23b09ff956ade41671b",
+    ("default2", "auto", "oblivious"): "e091bbc880025c99c462e1fa789e35fbe92f68584905fe7ed386a85b14456374",
+    ("default2", "auto", "partial:0.5"): "91cd3d65b9627140472f476fe6f18211e6f5f1300dca02a92a041579c5aee9f1",
+    ("default2", "explicit", "verbatim"): "5d7e09987a25c36ba741e9ea9d54578c3ee5b2f191933b349bfc4f427d2a9b74",
+    ("default2", "explicit", "oblivious"): "eb1e82fb8e09ebe0704602c636565934b8aa1a2f299ca3b173665060fe779583",
+    ("default2", "explicit", "partial:0.5"): "89c0f20596c58977bf4231e4d4db47ba834eee301e94920923312ee1b399a3e2",
+}
+
+
+def test_request_key_golden_digests():
+    doc = tokenize_document(Document(id="golden", cohort="pre", text=UNICODE_TEXT))
+    transcripts = {
+        "custom6": build_transcript(doc, segment(doc, 6), system_prompt="Poursuis le texte — mot pour mot ✓"),
+        "default2": build_transcript(doc, segment(doc, 2)),
+    }
+    params = {
+        "auto": GenerationParams(model="gpt-x", temperature=0.3),
+        "explicit": GenerationParams(model="gpt-x", temperature=0.3, max_tokens=64, seed=7),
+    }
+    keys = {
+        (t, p, b): request_key(backend_from_spec(b), transcripts[t], params[p])
+        for t, p, b in GOLDEN_KEYS
+    }
+    assert keys == GOLDEN_KEYS
 
 
 def test_generation_params_validation():
@@ -512,10 +546,7 @@ def test_live_backend_success_request_shape():
     path, headers, body = server.requests[0]
     assert path == "/chat/completions"
     assert headers["Authorization"] == "Bearer sk-test"
-    assert body["model"] == "gpt-x"
-    assert body["temperature"] == 0.3
-    assert body["max_tokens"] == resolve_max_tokens(transcript, GenerationParams())
-    assert body["messages"] == transcript_messages(transcript)
+    assert body == request_body(transcript, GenerationParams(model="gpt-x", temperature=0.3))
 
 
 def test_live_backend_no_auth_header_without_key():
@@ -655,6 +686,25 @@ def test_live_backend_timeout_is_a_retried_network_error():
         with pytest.raises(BackendError, match="network error"):
             backend.complete(_transcript(), GenerationParams())
     assert len(sleeps) == 1
+
+
+def test_live_backend_fails_a_certificate_error_without_retrying():
+    class UntrustedConnection:
+        def request(self, *args):
+            raise ssl.SSLCertVerificationError(
+                1, "[SSL: CERTIFICATE_VERIFY_FAILED] certificate verify failed: self-signed certificate"
+            )
+
+        def close(self):
+            pass
+
+    dials, sleeps = [], []
+    backend = LiveBackend("https://self-signed.test/v1", sleep=sleeps.append)
+    backend._dial = lambda: dials.append(1) or UntrustedConnection()
+    with pytest.raises(BackendError, match="certificate verif"):
+        backend.complete(_transcript(), GenerationParams())
+    assert dials == [1]
+    assert sleeps == []
 
 
 # ------------------------------------------------------------ backend_from_spec

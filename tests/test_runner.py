@@ -19,6 +19,7 @@ from msr_audit.corpus import CorpusError, Document
 from msr_audit.gateway import (
     Backend,
     BackendError,
+    GenerationParams,
     ObliviousBackend,
     PartialCopyBackend,
     VerbatimBackend,
@@ -70,6 +71,15 @@ def test_config_defaults_match_documented_protocol():
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs).validate()
+
+
+def test_config_params_carry_the_request_fields():
+    config = ExperimentConfig(model="m", temperature=0.5, max_tokens=9, seed=4, shots=4)
+    assert config.params == GenerationParams(model="m", temperature=0.5, max_tokens=9, seed=4)
+    with pytest.raises(ValueError, match="temperature must be >= 0, got -1.0"):
+        ExperimentConfig(temperature=-1.0).validate()
+    with pytest.raises(ValueError, match="max_tokens must be >= 1, got 0"):
+        ExperimentConfig(max_tokens=0).validate()
 
 
 def test_run_audit_rejects_max_tokens_before_tokenizing(small_corpus, small_config, monkeypatch):
