@@ -47,8 +47,8 @@ def _transcript(n_words=60, shots=6, tag="w"):
 # ------------------------------------------------------------- request plumbing
 
 
-def test_request_body_roles_order_and_max_tokens():
-    transcript = _transcript(60, 6)  # 10-token reference
+def test_transcript_messages_roles_and_order():
+    transcript = _transcript(60, 6)
     body = request_body(transcript, GenerationParams())
     assert list(body) == ["model", "messages", "temperature", "max_tokens"]
     messages = body["messages"]
@@ -56,7 +56,11 @@ def test_request_body_roles_order_and_max_tokens():
     assert [m["role"] for m in messages[1:]] == ["user", "assistant", "user", "assistant", "user"]
     assert [m["content"] for m in messages[1:]] == list(transcript.turns)
     assert all(transcript.reference_text != m["content"] for m in messages)
-    assert body["max_tokens"] == 15
+
+
+def test_resolve_max_tokens():
+    transcript = _transcript(60, 6)  # 10-token reference
+    assert request_body(transcript, GenerationParams())["max_tokens"] == 15
     assert request_body(transcript, GenerationParams(max_tokens=7))["max_tokens"] == 7
 
 
