@@ -20,7 +20,6 @@ import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import cycle
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -65,19 +64,20 @@ class GenerationRecord:
 
 
 def request_body(transcript: Transcript, params: GenerationParams) -> dict:
-    """The chat-completions request: the system prompt, then the faux turns,
-    which alternate user and assistant from a user turn. ``max_tokens=None``
-    (auto; it is never 0) resolves to ceil(1.5 x reference token count).
+    """The chat-completions request: the system prompt, then the faux turns.
+    ``max_tokens=None`` (auto) resolves to ceil(1.5 x reference token count).
     """
     messages = [{"role": "system", "content": transcript.system_prompt}]
-    messages.extend(
-        {"role": role, "content": text} for role, text in zip(cycle(("user", "assistant")), transcript.turns)
-    )
+    messages.extend({"role": t.role, "content": t.text} for t in transcript.turns)
+    if params.max_tokens is not None:
+        max_tokens = params.max_tokens
+    else:
+        max_tokens = math.ceil(1.5 * len(transcript.reference_tokens))
     return {
         "model": params.model,
         "messages": messages,
         "temperature": params.temperature,
-        "max_tokens": params.max_tokens or math.ceil(1.5 * len(transcript.reference_tokens)),
+        "max_tokens": max_tokens,
     }
 
 

@@ -5,24 +5,31 @@ transcripts that hold out the final segment as the reference to be completed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
 
 from msr_audit.corpus import TokenizedDocument
 
 DEFAULT_SYSTEM_PROMPT = "complete the paragraph"
+
+USER = "user"
+ASSISTANT = "assistant"
+
+
+@dataclass(frozen=True)
+class Turn:
+    role: str
+    text: str
 
 
 @dataclass(frozen=True)
 class Transcript:
     """The faux conversation plus the held-out final segment.
 
-    ``turns`` holds the turn texts, which strictly alternate user/assistant,
-    starting and ending with a user turn; the reference segment appears in no
-    turn.
+    ``turns`` strictly alternate user/assistant, starting and ending with a
+    user turn; the reference segment appears in no turn.
     """
 
     system_prompt: str
-    turns: tuple[str, ...]
+    turns: tuple[Turn, ...]
     reference_text: str
     reference_tokens: tuple[str, ...]
 
@@ -94,7 +101,10 @@ def build_transcript(
     if any(a[1] != b[0] for a, b in zip(bounds, bounds[1:])):
         raise ValueError("segmentation does not cover the document")
 
-    turns = tuple(render_segment(doc, token_range) for token_range in bounds[:-1])
+    turns = tuple(
+        Turn(role=USER if i % 2 == 0 else ASSISTANT, text=render_segment(doc, token_range))
+        for i, token_range in enumerate(bounds[:-1])
+    )
     reference_text = render_segment(doc, bounds[-1])
     return Transcript(
         system_prompt=system_prompt,
@@ -110,7 +120,7 @@ def build_transcript(
 def format_transcript(transcript: Transcript) -> str:
     """Human-readable rendering of a transcript, for debugging."""
     lines = [f"System: {transcript.system_prompt}"]
-    for role, text in zip(cycle(("User", "Assistant")), transcript.turns):
-        lines.append(f"{role}: {text}")
+    for turn in transcript.turns:
+        lines.append(f"{turn.role.capitalize()}: {turn.text}")
     lines.append(f"[held-out reference] {transcript.reference_text}")
     return "\n".join(lines)

@@ -96,11 +96,11 @@ class ExperimentConfig:
             raise ValueError(f"shots must be an even number >= 2, got {self.shots}")
         if self.l_min < 1:
             raise ValueError(f"l_min must be >= 1, got {self.l_min}")
-        self.params  # checks temperature and max_tokens
         if self.min_words < 0:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        _ = self.params  # GenerationParams rejects a bad temperature or max_tokens
         if self.truncate_words is not None and self.truncate_words < self.shots:
             raise ValueError(
                 f"truncation to {self.truncate_words} words cannot fill {self.shots} segments"

@@ -54,7 +54,7 @@ def test_transcript_messages_roles_and_order():
     messages = body["messages"]
     assert messages[0] == {"role": "system", "content": transcript.system_prompt}
     assert [m["role"] for m in messages[1:]] == ["user", "assistant", "user", "assistant", "user"]
-    assert [m["content"] for m in messages[1:]] == list(transcript.turns)
+    assert [m["content"] for m in messages[1:]] == [t.text for t in transcript.turns]
     assert all(transcript.reference_text != m["content"] for m in messages)
 
 

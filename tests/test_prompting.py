@@ -84,24 +84,24 @@ def test_build_transcript_roles_and_reference():
     transcript = build_transcript(doc, segment(doc, 6))
     assert transcript.system_prompt == DEFAULT_SYSTEM_PROMPT
     # 6 segments: 5 faux turns (3 user + 2 assistant), last segment held out
-    assert transcript.turns == tuple(" ".join(f"w{i}" for i in range(j, j + 10)) for j in range(0, 50, 10))
+    assert [t.role for t in transcript.turns] == ["user", "assistant", "user", "assistant", "user"]
     assert transcript.reference_tokens == tuple(f"w{i}" for i in range(50, 60))
     assert transcript.reference_text == " ".join(f"w{i}" for i in range(50, 60))
-    assert transcript.reference_text not in transcript.turns
+    assert all(transcript.reference_text != turn.text for turn in transcript.turns)
 
 
 def test_build_transcript_custom_system_prompt():
     doc = _doc(12)
     transcript = build_transcript(doc, segment(doc, 2), system_prompt="finish it")
     assert transcript.system_prompt == "finish it"
-    assert transcript.turns == (" ".join(f"w{i}" for i in range(6)),)
+    assert len(transcript.turns) == 1 and transcript.turns[0].role == "user"
 
 
 def test_build_transcript_turns_reassemble_document():
     doc = _doc(59)
     bounds = segment(doc, 6)
     transcript = build_transcript(doc, bounds)
-    pieces = [*transcript.turns, transcript.reference_text]
+    pieces = [turn.text for turn in transcript.turns] + [transcript.reference_text]
     assert " ".join(pieces) == doc.text
 
 
