@@ -5,8 +5,8 @@ length), match (maximal matches between two raw text files), transcript
 (print the faux transcript for one document).
 
 To re-score a finished run, run audit or sweep again with the same --cache
-and a new --lmin, --lmax or --exact-lengths. No request key covers those
-options, so every completion the cache holds is served from it and only
+and a new --lmin, --lmax, --exact-lengths or --lowercase. No request key covers
+those options, so every completion the cache holds is served from it and only
 requests that failed before are sent again.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
@@ -28,7 +28,7 @@ from msr_audit import __version__
 from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate
 from msr_audit.gateway import Backend, BackendError, backend_from_spec
 from msr_audit.matching import frequency_array, maximal_common_substrings
-from msr_audit.prompting import DEFAULT_SYSTEM_PROMPT, build_transcript, format_transcript, segment
+from msr_audit.prompting import build_transcript, format_transcript, segment
 from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, emit_report, low_vs_high, run_audit, sweep
 
 EXIT_OK = 0
@@ -77,7 +77,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="msr_report", metavar="DIR", help="report directory (default: %(default)s)")
     parser.add_argument("--base-url", help="live backend base URL (or MSR_BASE_URL)")
     parser.add_argument("--system-prompt")
-    parser.add_argument("--lowercase", action="store_true", help="case-fold before tokenizing")
+    parser.add_argument("--lowercase", action="store_true", help="case-fold reference and completion before matching")
     parser.add_argument("--exact-lengths", action="store_true", help="count exact lengths instead of >= k")
     parser.add_argument("--max-tokens", type=int, help="completion budget (default: auto)")
 
@@ -102,8 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_match = sub.add_parser("match", help="maximal matches between two raw text files")
     p_match.add_argument("reference", help="reference text file")
     p_match.add_argument("generated", help="generated text file")
-    p_match.add_argument("--lmin", type=int, default=5)
-    p_match.add_argument("--lmax", type=int, default=12)
+    defaults = ExperimentConfig()
+    p_match.add_argument("--lmin", type=int, default=defaults.l_min)
+    p_match.add_argument("--lmax", type=int, default=defaults.l_max)
     p_match.add_argument("--lowercase", action="store_true")
     p_match.add_argument("--exact-lengths", action="store_true")
     p_match.set_defaults(func=cmd_match)
@@ -111,17 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr = sub.add_parser("transcript", help="print the faux transcript for one document")
     p_tr.add_argument("--corpus", required=True, help="JSONL corpus file")
     p_tr.add_argument("--doc", required=True, metavar="ID", help="document id")
-    p_tr.add_argument("--shots", type=int, default=6)
-    p_tr.add_argument("--system-prompt", default=DEFAULT_SYSTEM_PROMPT)
+    p_tr.add_argument("--shots", type=int, default=defaults.shots)
+    p_tr.add_argument("--system-prompt", default=defaults.system_prompt)
     p_tr.add_argument("--truncate", type=int, default=None, metavar="L")
-    p_tr.add_argument("--lowercase", action="store_true")
     p_tr.set_defaults(func=cmd_transcript)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**{field.name: getattr(args, field.name) for field in fields(ExperimentConfig)})
+def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig:
+    return ExperimentConfig(**{field.name: getattr(args, field.name) for field in fields(ExperimentConfig)} | overrides)
 
 
 def _load_cohorts(args: argparse.Namespace) -> list:
@@ -174,15 +174,13 @@ def _parse_values(raw: Sequence[str], cast: Callable) -> list:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cast = float if args.dimension == "temperature" else int
+    corpus = _load_cohorts(args)
+    values = _parse_values(args.values, float if args.dimension == "temperature" else int)
+    # The swept field starts at the first value, so a flag the sweep
+    # overrides (say --shots in a shots sweep) cannot fail the config.
+    config = _config_from_args(args, **{SWEEP_FIELDS[args.dimension]: values[0]})
     with ExitStack() as stack:
-        results = sweep(
-            _load_cohorts(args),
-            _config_from_args(args),
-            args.dimension,
-            _parse_values(args.values, cast),
-            backends=_cohort_backends(args, stack),
-        )
+        results = sweep(corpus, config, args.dimension, values, backends=_cohort_backends(args, stack))
     contrast = low_vs_high(results) if args.dimension == "temperature" else None
 
     out = Path(args.out)
@@ -205,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
 
@@ -241,7 +239,7 @@ def cmd_transcript(args: argparse.Namespace) -> int:
     by_id = {doc.id: doc for doc in docs}
     if args.doc not in by_id:
         raise CorpusError(f"no document with id {args.doc!r} in {args.corpus}")
-    doc = tokenize_document(by_id[args.doc], lowercase=args.lowercase)
+    doc = tokenize_document(by_id[args.doc])
     if args.truncate is not None:
         doc = truncate(doc, args.truncate)
     transcript = build_transcript(doc, segment(doc, args.shots), system_prompt=args.system_prompt)

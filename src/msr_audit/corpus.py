@@ -1,7 +1,8 @@
 """Loading, validation, tokenization and trimming of cohort-labeled corpora.
 
-A corpus file is UTF-8 JSON lines, one document per line with required fields
-"id", "text" and "cohort" ("pre" | "post"); other fields are ignored.
+A corpus file is UTF-8 JSON lines (a leading byte-order mark is skipped), one
+document per line with required fields "id", "text" and "cohort" ("pre" |
+"post"); other fields are ignored.
 """
 
 from __future__ import annotations
@@ -101,18 +102,12 @@ def tokenize(text: str, limit: int | None = None) -> np.ndarray:
     return spans
 
 
-def tokenize_document(
-    doc: Document, lowercase: bool = False, limit: int | None = None
-) -> TokenizedDocument:
-    """Tokenize a document, optionally lowercasing the text first.
-
-    Lowercasing is applied to the whole text before splitting so token spans
-    stay consistent with the stored text. ``limit`` keeps only the first
+def tokenize_document(doc: Document, limit: int | None = None) -> TokenizedDocument:
+    """Tokenize a document's text as written. ``limit`` keeps only the first
     ``limit`` words, as in ``tokenize``, so ``len(tokens)`` is min(word
     count, limit).
     """
-    text = doc.text.lower() if lowercase else doc.text
-    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=text, tokens=tokenize(text, limit))
+    return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=doc.text, tokens=tokenize(doc.text, limit))
 
 
 def _parse_record(raw: dict, lineno: int, cohort_override: str | None) -> Document:
@@ -148,7 +143,7 @@ def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Do
         raise CorpusError(f"cohort_override must be one of {COHORTS}, got {cohort_override!r}")
     path = Path(path)
     try:
-        raw_lines = path.read_text(encoding="utf-8").split("\n")
+        raw_lines = path.read_text(encoding="utf-8-sig").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
 

@@ -53,11 +53,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything an audit run needs besides the corpus itself.
+    """Everything an audit run needs besides the corpus itself; checked when built.
 
     ``truncate_words`` caps every document at a fixed token count so cohorts
     are length-matched; it also caps the tracked match length at
     ``truncate_words // shots``, the longest reference a segment can hold.
+    ``lowercase`` folds the reference and completion before matching; the
+    request carries the text as written.
     """
 
     backend: str = "verbatim"
@@ -91,7 +93,7 @@ class ExperimentConfig:
             model=self.model, temperature=self.temperature, max_tokens=self.max_tokens, seed=self.seed
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.shots < 2 or self.shots % 2:
             raise ValueError(f"shots must be an even number >= 2, got {self.shots}")
         if self.l_min < 1:
@@ -100,7 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"min_words must be >= 0, got {self.min_words}")
         if self.max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        _ = self.params  # GenerationParams rejects a bad temperature or max_tokens
+        # GenerationParams checks these two fields when it is built.
+        GenerationParams(temperature=self.temperature, max_tokens=self.max_tokens)
         if self.truncate_words is not None and self.truncate_words < self.shots:
             raise ValueError(
                 f"truncation to {self.truncate_words} words cannot fill {self.shots} segments"
@@ -178,7 +181,7 @@ def _eligible(
 ) -> list[TokenizedDocument]:
     """Tokenize every document up to ``limit`` words and drop those at or
     below ``min_words``."""
-    tokenized = [tokenize_document(doc, lowercase=config.lowercase, limit=limit) for doc in corpus]
+    tokenized = [tokenize_document(doc, limit=limit) for doc in corpus]
     return filter_by_length(tokenized, config.min_words)
 
 
@@ -211,9 +214,10 @@ def _score_cohort(
             continue
         if not record.output_text:
             logger.warning("empty completion for document %r; will count as zero-match", doc.id)
-        text = record.output_text.lower() if config.lowercase else record.output_text
+        text, reference = record.output_text, transcript.reference_tokens
+        if config.lowercase:
+            text, reference = text.lower(), tuple(token.lower() for token in reference)
         completion = GeneratedCompletion.from_text(text)
-        reference = transcript.reference_tokens
         matches = maximal_common_substrings(reference, completion.tokens, config.l_min)
         lengths = matches[:, 0]
         counts = frequency_array(
@@ -301,7 +305,6 @@ def run_audit(
     Per-document failures (too short to segment, generation errors) are
     counted and skipped; an entire cohort coming up empty is an error.
     """
-    config.validate()
     with _cohort_backends(config, backends) as backend_map:
         eligible = _eligible(corpus, config, _word_limit([config]))
         return _audit(eligible, config, backend_map, _cache(config))
@@ -333,9 +336,8 @@ def sweep(
         raise ValueError(f"{dimension} sweep needs at least one value")
     if len(set(values)) != len(values):
         raise ValueError(f"{dimension} sweep values must be distinct, got {values}")
+    # replace() checks each value's config, so a bad value raises here.
     configs = {value: replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values}
-    for candidate in configs.values():
-        candidate.validate()
     with _cohort_backends(config, backends) as backend_map:
         eligible = _eligible(corpus, config, _word_limit(configs.values()))
         cache = _cache(config)

@@ -5,12 +5,15 @@
 refactor that renames one of them, or stops calling it through the runner
 module, breaks ``bench/run.py --trace 1`` or silently empties a layer. These
 tests load that file by path, without writing anything under ``bench/``, and
-check the contract on a small traced length sweep.
+check the contract on a small traced length sweep. The benchmark's own tests
+run here too, in a subprocess.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -22,7 +25,8 @@ import msr_audit.runner as runner
 from conftest import make_corpus
 from msr_audit.gateway import ObliviousBackend, VerbatimBackend
 
-TRACING_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING_PATH = REPO / "bench" / "tracing.py"
 
 TRACED_LAYERS = (
     "corpus.tokenize",
@@ -74,3 +78,18 @@ def test_traced_length_sweep_records_every_layer(tracing, small_config, tmp_path
     layers = tracing.layer_metrics(tracer.spans, 1, wall)
     assert layers["corpus.tokenize_calls"] == len(corpus)  # tokenized once per sweep
     assert layers["matching.kernel_calls"] == 3 * len(corpus)
+
+
+def test_benchmark_self_tests_pass():
+    # bench/tests cannot join testpaths: its conftest.py would shadow the one
+    # that tests/ import from.
+    env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/tests"],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from conftest import UNICODE_TEXT, make_corpus, write_corpus_jsonl
 from stub_server import StubServer
 from msr_audit.cli import _config_from_args, build_parser, main
-from msr_audit.gateway import BackendError, PartialCopyBackend
+from msr_audit.gateway import BackendError, PartialCopyBackend, VerbatimBackend
 from msr_audit.runner import ExperimentConfig
 
 pytestmark = pytest.mark.usefixtures("_no_live_env")
@@ -175,6 +176,27 @@ def test_rerun_over_cache_rescores_without_requests(corpus_files, tmp_path, monk
     assert len(calls) == len(cache.read_bytes().splitlines()) - len(lines.splitlines()) == 6 * audits
 
 
+def test_rerun_over_cache_rescores_lowercase_without_requests(tmp_path, monkeypatch):
+    docs = [
+        replace(doc, text=" ".join(w.upper() if i % 2 else w for i, w in enumerate(doc.text.split())))
+        for doc in make_corpus(n_pre=3, n_post=3, words=120)
+    ]
+    pre = write_corpus_jsonl(tmp_path / "pre.jsonl", docs[:3])
+    post = write_corpus_jsonl(tmp_path / "post.jsonl", docs[3:])
+    cache = tmp_path / "cache.jsonl"
+    # A completion that copies the reference in the opposite case matches only once folded.
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda self, transcript, _: transcript.reference_text.swapcase())
+    assert main(_audit_args(pre, post, tmp_path / "first", "--cache", str(cache))) == 0
+    assert main(_audit_args(pre, post, tmp_path / "fresh", "--lowercase")) == 0
+    assert _frequencies(tmp_path / "fresh") != _frequencies(tmp_path / "first")
+
+    calls = []
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda self, transcript, _: calls.append(1) or "")
+    assert main(_audit_args(pre, post, tmp_path / "rescored", "--cache", str(cache), "--lowercase")) == 0
+    assert calls == []
+    assert _frequencies(tmp_path / "rescored") == _frequencies(tmp_path / "fresh")
+
+
 def test_rerun_over_cache_never_dials_the_live_backend(corpus_files, tmp_path):
     pre, post = corpus_files
     cache = tmp_path / "cache.jsonl"
@@ -246,6 +268,15 @@ def test_sweep_length_bad_value_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     code = main(["sweep", "length", "--values", "60,5"] + _audit_args(pre, post, tmp_path / "s")[1:])
     assert code == 1
+
+
+def test_sweep_overrides_the_swept_flag(corpus_files, tmp_path):
+    # The default 6 shots would leave 16 words 2-word references, below --lmin 3.
+    pre, post = corpus_files
+    out = tmp_path / "s"
+    extra = ("--truncate", "16", "--lmin", "3")
+    assert main(["sweep", "shots", "--values", "2,4"] + _audit_args(pre, post, out, *extra)[1:]) == 0
+    assert (out / "shots_4" / "frequencies.csv").exists()
 
 
 def test_sweep_duplicate_values_exit_1(corpus_files, tmp_path, capsys):
@@ -353,6 +384,15 @@ def test_match_output_is_byte_stable(tmp_path, capsys, extra):
     gen.write_text(_MATCH_GEN, encoding="utf-8")
     assert main(["match", str(ref), str(gen), *extra]) == 0
     assert capsys.readouterr().out == _MATCH_ROWS + _MATCH_COUNTS[extra]
+
+
+def test_match_skips_a_byte_order_mark(tmp_path, capsys):
+    ref = tmp_path / "ref.txt"
+    gen = tmp_path / "gen.txt"
+    ref.write_bytes(b"\xef\xbb\xbf" + _MATCH_REF.encode("utf-8"))
+    gen.write_bytes(b"\xef\xbb\xbf" + _MATCH_GEN.encode("utf-8"))
+    assert main(["match", str(ref), str(gen)]) == 0
+    assert capsys.readouterr().out == _MATCH_ROWS + _MATCH_COUNTS[()]
 
 
 def test_match_missing_file_exit_2(tmp_path):

@@ -116,9 +116,9 @@ def test_tokenize_limit_below_one_is_rejected():
 
 def test_tokenize_document_limit():
     doc = Document(id="d", cohort="pre", text="One two  Three\u3000four five")
-    tokenized = tokenize_document(doc, lowercase=True, limit=3)
-    assert tokenized.text == "one two  three\u3000four five"
-    assert _words(tokenized.text, tokenized.tokens) == ["one", "two", "three"]
+    tokenized = tokenize_document(doc, limit=3)
+    assert tokenized.text == doc.text
+    assert _words(tokenized.text, tokenized.tokens) == ["One", "two", "Three"]
 
 
 def test_tokenize_document_memory_and_read_only():
@@ -147,14 +147,6 @@ def test_document_validation():
         Document(id="a", cohort="during", text="x")
     with pytest.raises(CorpusError, match="non-empty"):
         Document(id="a", cohort="post", text="")
-
-
-def test_tokenize_document_lowercase_flag():
-    doc = Document(id="a", cohort="pre", text="The CAT Sat")
-    assert token_texts(tokenize_document(doc)) == ("The", "CAT", "Sat")
-    lowered = tokenize_document(doc, lowercase=True)
-    assert token_texts(lowered) == ("the", "cat", "sat")
-    assert lowered.text == "the cat sat"
 
 
 def test_document_rejects_whitespace_only_text():
@@ -207,6 +199,15 @@ def test_load_corpus_keeps_unicode_line_separators_inside_records(tmp_path, sepa
         load_corpus(path)
     _write_lines(path, lines[:2])
     assert [(d.id, d.text) for d in load_corpus(path)] == [("a", text), ("b", "t")]
+
+
+def test_load_corpus_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + b'{"id": "a", "cohort": "pre", "text": "t"}\n{not json\n')
+    with pytest.raises(CorpusError, match="line 2"):
+        load_corpus(path)
+    path.write_bytes(b"\xef\xbb\xbf" + b'{"id": "a", "cohort": "pre", "text": "t"}\n')
+    assert [(d.id, d.text) for d in load_corpus(path)] == [("a", "t")]
 
 
 def test_load_corpus_reads_crlf_files(tmp_path):

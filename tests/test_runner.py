@@ -23,6 +23,7 @@ from msr_audit.gateway import (
     ObliviousBackend,
     PartialCopyBackend,
     VerbatimBackend,
+    request_key,
 )
 from msr_audit.matching import FrequencyArray
 from msr_audit.runner import (
@@ -70,16 +71,18 @@ def test_config_defaults_match_documented_protocol():
 )
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
-        ExperimentConfig(**kwargs).validate()
+        ExperimentConfig(**kwargs)
+    with pytest.raises(ValueError):
+        replace(ExperimentConfig(), **kwargs)
 
 
 def test_config_params_carry_the_request_fields():
     config = ExperimentConfig(model="m", temperature=0.5, max_tokens=9, seed=4, shots=4)
     assert config.params == GenerationParams(model="m", temperature=0.5, max_tokens=9, seed=4)
     with pytest.raises(ValueError, match="temperature must be >= 0, got -1.0"):
-        ExperimentConfig(temperature=-1.0).validate()
+        ExperimentConfig(temperature=-1.0)
     with pytest.raises(ValueError, match="max_tokens must be >= 1, got 0"):
-        ExperimentConfig(max_tokens=0).validate()
+        ExperimentConfig(max_tokens=0)
 
 
 def test_run_audit_rejects_max_tokens_before_tokenizing(small_corpus, small_config, monkeypatch):
@@ -278,20 +281,43 @@ def test_run_audit_truncation_shortens_references(small_corpus, small_config):
     assert report.f_pre.l_max == min(small_config.l_max, 10)
 
 
-def test_run_audit_lowercase_normalizes_before_matching(small_config):
-    corpus = [
+def _cased_corpus() -> list[Document]:
+    return [
         Document(id="pre-u", cohort="pre", text=" ".join(f"Word{i}" for i in range(120))),
         Document(id="post-u", cohort="post", text=" ".join(f"Item{i}" for i in range(120))),
     ]
 
+
+def test_run_audit_lowercase_normalizes_before_matching(small_config):
     class UppercasingVerbatim(VerbatimBackend):
         def complete(self, transcript, params):
             return transcript.reference_text.upper()
 
     config = replace(small_config, lowercase=True)
-    report = run_audit(corpus, config, backends=UppercasingVerbatim())
-    # references were lowercased at tokenization; completions get folded too
+    report = run_audit(_cased_corpus(), config, backends=UppercasingVerbatim())
+    # the reference and the completion are both folded when scored
     assert report.documents[0].longest_match == 20
+
+
+def test_run_audit_lowercase_sends_the_text_as_written(small_config):
+    class Recording(VerbatimBackend):
+        def __init__(self):
+            self.requests = []
+
+        def complete(self, transcript, params):
+            self.requests.append((transcript, params))
+            return super().complete(transcript, params)
+
+    folded, plain = Recording(), Recording()
+    run_audit(_cased_corpus(), replace(small_config, lowercase=True), backends=folded)
+    run_audit(_cased_corpus(), small_config, backends=plain)
+    transcript = folded.requests[0][0]
+    assert transcript.turns[0].text.startswith("Word0 Word1")
+    assert transcript.reference_tokens[0] == "Word100"
+    assert folded.requests == plain.requests
+    assert [request_key(folded, *request) for request in folded.requests] == [
+        request_key(plain, *request) for request in plain.requests
+    ]
 
 
 def test_run_audit_uses_cache_across_runs(small_corpus, small_config, tmp_path):
