@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
 from conftest import UNICODE_TEXT, make_corpus, write_corpus_jsonl
 from stub_server import StubServer
+from msr_audit import Document
 from msr_audit.cli import _config_from_args, build_parser, main
 from msr_audit.gateway import BackendError, PartialCopyBackend, VerbatimBackend
 from msr_audit.runner import ExperimentConfig
@@ -77,6 +79,27 @@ def test_audit_single_backend_spec(corpus_files, tmp_path, capsys):
     assert code == 0
     comparison = json.loads(capsys.readouterr().out.splitlines()[0])
     assert set(comparison) == {"delta", "ks", "h_statistic", "p_value", "n_first", "n_second"}
+
+
+_AUDIT_COMPARISON = (
+    '{"delta": -0.6049382716049383, "h_statistic": 4.85569831073043, "ks": 0.7777777777777778, '
+    '"n_first": 9, "n_second": 9, "p_value": 0.02755495736977658}\n'
+)
+_AUDIT_FREQUENCIES = "k,count_pre,count_post\n2,14,2\n3,9,2\n4,9,2\n5,8,1\n6,8,1\n7,8,1\n8,8,1\n9,0,0\n10,0,0\n"
+
+
+def test_audit_output_is_byte_stable(tmp_path, capsys):
+    # 3 + 3 documents of 600 words drawn from 40, so references repeat words.
+    rng = random.Random(5)
+    texts = [" ".join(f"w{rng.randrange(40)}" for _ in range(600)) for _ in range(6)]
+    pre = write_corpus_jsonl(tmp_path / "pre.jsonl", [Document(f"pre-{i}", "pre", t) for i, t in enumerate(texts[:3])])
+    post = write_corpus_jsonl(tmp_path / "post.jsonl", [Document(f"post-{i}", "post", t) for i, t in enumerate(texts[3:])])
+    out = tmp_path / "r"
+    argv = _audit_args(pre, post, out, "--lmax", "10", "--backend-pre", "partial:0.35", "--backend-post", "partial:0.05")
+    assert main([*argv, "--seed", "5"]) == 0
+    summary, frequencies = out / "summary.json", out / "frequencies.csv"
+    assert capsys.readouterr().out == _AUDIT_COMPARISON + f"wrote {summary}\nwrote {frequencies}\n"
+    assert frequencies.read_bytes() == _AUDIT_FREQUENCIES.encode()
 
 
 def test_audit_usage_error_exit_1(corpus_files, tmp_path, capsys):

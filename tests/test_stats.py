@@ -286,6 +286,49 @@ def test_compare_samples_field_order():
     assert result.h_statistic > 0 and 0 < result.p_value < 1
 
 
+# float.hex() of (delta, ks, H, p) for fixed pairs: sizes 1 to 40, heavy
+# ties, half-integer values, an all-identical pair and p < 1e-6. The seeded
+# pairs are (seed, n_first, n_second, hi), drawn with random.Random(seed).randrange(hi).
+_SEEDED_GOLDENS = [
+    ((0, 1, 2, 5), ('0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.0000000000000p-1', '0x1.eb02147ce245cp-2')),
+    ((1, 2, 1, 5), ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.8000000000000p+0', '0x1.c3ef58d4e04d0p-3')),
+    ((2, 1, 40, 30), ('0x1.8000000000000p-1', '0x1.a666666666666p-1', '0x1.9ccb82e2de92ep+0', '0x1.a215fbe4a2dc1p-3')),
+    ((3, 40, 1, 30), ('-0x1.4cccccccccccdp-1', '0x1.a666666666666p-1', '0x1.3629cf0779b5fp+0', '0x1.15865a9f5e9bcp-2')),
+    ((4, 3, 3, 4), ('-0x1.5555555555555p-1', '0x1.5555555555556p-1', '0x1.d1745d1745d17p+0', '0x1.6b94c5716428bp-3')),
+    ((5, 8, 8, 3), ('0x1.9000000000000p-1', '0x1.4000000000000p-1', '0x1.f90cede62433cp+2', '0x1.4584747f0b401p-8')),
+    ((6, 8, 8, 12), ('-0x1.2000000000000p-2', '0x1.8000000000000p-2', '0x1.d0eec7bfb6878p-1', '0x1.5ccd3566021a8p-2')),
+    ((7, 12, 9, 2), ('0x1.c71c71c71c71cp-4', '0x1.c71c71c71c720p-4', '0x1.2f684bda12f63p-2', '0x1.2c2433195a942p-1')),
+    ((8, 17, 23, 6), ('-0x1.2551d7681a307p-3', '0x1.ccee527f04954p-3', '0x1.3d223e90ff6b9p-1', '0x1.b99ebf40f29d1p-2')),
+    ((9, 40, 40, 4), ('0x1.af5c28f5c28f6p-3', '0x1.6666666666664p-3', '0x1.6d479187bef8cp+1', '0x1.75658449ed8e5p-4')),
+    ((10, 40, 37, 1_000), ('-0x1.88fe9dc0588ffp-5', '0x1.650426bef6508p-4', '0x1.0c50c7c6a5218p-3', '0x1.6f4ce6001416ep-1')),
+    ((11, 25, 31, 2), ('-0x1.5789157891579p-4', '0x1.5789157891578p-4', '0x1.8c2c8a4f2bbd7p-2', '0x1.1160817e6b62ep-1')),
+    ((12, 5, 11, 1_000_000), ('0x1.1745d1745d174p-2', '0x1.bed61bed61bedp-2', '0x1.71a02bceb7719p-1', '0x1.9501669123b9bp-2')),
+    ((13, 33, 29, 40), ('-0x1.476c56abbc96ep-2', '0x1.10da4839c7d32p-2', '0x1.2b065a5a875a3p+2', '0x1.f63a2960ffcc3p-6')),
+]
+_FIXED_GOLDENS = [
+    ([5, 5, 5], [5, 5], ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.0000000000000p+0')),
+    ([0] * 8, [0] * 7 + [1], ('-0x1.0000000000000p-3', '0x1.0000000000000p-3', '0x1.fffffffffffffp-1', '0x1.44ed0bb7cb20cp-2')),
+    (list(range(20)), list(range(20, 40)), ('-0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.d44aed44aed45p+4', '0x1.0ea98dd041da9p-24')),
+    ([0.5, 1.5, 1.5, 2.5], [1.5, 1.5, 3.0], ('-0x1.5555555555555p-2', '0x1.5555555555556p-2', '0x1.37a6f4de9bd3cp-1', '0x1.bdb9de3efc30cp-2')),
+    ([100] * 8, [0] * 8, ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.e000000000001p+3', '0x1.c2ef3f3b8491bp-14')),
+    ([3, 1, 2], [2], ('0x0.0p+0', '0x1.5555555555556p-2', '0x0.0p+0', '0x1.0000000000000p+0')),
+]
+
+
+def _seeded_pair(seed, n_first, n_second, hi):
+    rng = random.Random(seed)
+    return [rng.randrange(hi) for _ in range(n_first)], [rng.randrange(hi) for _ in range(n_second)]
+
+
+@pytest.mark.parametrize(
+    ("x", "y", "expected"),
+    [(*_seeded_pair(*spec), expected) for spec, expected in _SEEDED_GOLDENS] + _FIXED_GOLDENS,
+)
+def test_compare_samples_is_bit_stable(x, y, expected):
+    result = compare_samples(x, y)
+    assert tuple(v.hex() for v in (result.delta, result.ks, result.h_statistic, result.p_value)) == expected
+
+
 def test_compare_cohorts_sign_convention():
     # pre matched more: post-vs-pre delta must come out negative
     f_pre = FrequencyArray(5, 12, (16, 14, 12, 10, 8, 6, 4, 2))
