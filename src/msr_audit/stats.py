@@ -1,6 +1,6 @@
 """Non-parametric comparison of two count distributions: Cliff's delta,
 two-sample Kolmogorov-Smirnov distance, and the Kruskal-Wallis H test with
-mid-rank ties, tie correction, and a chi-squared p-value.
+mid-rank ties, tie correction, and a one-degree-of-freedom chi-squared p-value.
 """
 
 from __future__ import annotations
@@ -62,25 +62,21 @@ def ks_distance(x: Sample, y: Sample) -> float:
     return float(gaps.max())
 
 
-def kruskal_wallis(groups: Sequence[Sample]) -> tuple[float, float]:
-    """Kruskal-Wallis H across groups, with tie correction.
+def kruskal_wallis(x: Sample, y: Sample) -> tuple[float, float]:
+    """Kruskal-Wallis H between two samples, with tie correction.
 
     Uses mid-ranks for tied values and divides H by the tie-correction factor
     1 - sum(t^3 - t) / (N^3 - N). When every pooled value is identical the
     statistic is defined as H = 0 with p = 1. Returns (H, p) where the p-value
-    is the upper chi-squared tail with len(groups) - 1 degrees of freedom.
+    is the upper chi-squared tail with one degree of freedom, erfc(sqrt(H/2)).
     Values must be finite: NaN has no rank.
     """
-    if len(groups) < 2:
-        raise ValueError("kruskal_wallis requires at least 2 groups")
-    sizes = [len(g) for g in groups]
-    for i, n in enumerate(sizes):
-        if n == 0:
-            raise ValueError(f"kruskal_wallis group {i} is empty")
-    total = sum(sizes)
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError("kruskal_wallis requires two non-empty samples")
+    total = len(x) + len(y)
     if total < 3:
         raise ValueError(f"kruskal_wallis requires at least 3 values in total, got {total}")
-    pooled = np.concatenate([np.asarray(g, dtype=np.float64) for g in groups])
+    pooled = np.concatenate((np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
     if not np.isfinite(pooled).all():
         raise ValueError("kruskal_wallis requires finite values")
 
@@ -92,41 +88,17 @@ def kruskal_wallis(groups: Sequence[Sample]) -> tuple[float, float]:
     correction = 1.0 - tie_sum / (total**3 - total)
     # Mid-ranks are half-integers, so the rank sums are exact in any order.
     ranks = (np.cumsum(ties) - (ties - 1) / 2.0)[inverse]
-    rank_sums = np.bincount(np.repeat(np.arange(len(groups)), sizes), weights=ranks).tolist()
+    sum_x, sum_y = float(ranks[: len(x)].sum()), float(ranks[len(x) :].sum())
     grand_mean = (total + 1) / 2.0
-    h = 12.0 / (total * (total + 1)) * sum(n * (s / n - grand_mean) ** 2 for n, s in zip(sizes, rank_sums))
+    spread = len(x) * (sum_x / len(x) - grand_mean) ** 2 + len(y) * (sum_y / len(y) - grand_mean) ** 2
+    h = 12.0 / (total * (total + 1)) * spread
     h /= correction
-    return h, chi2_sf(h, len(groups) - 1)
-
-
-def chi2_sf(value: float, df: int) -> float:
-    """Upper-tail probability of the chi-squared distribution.
-
-    The regularized upper incomplete gamma Q(df/2, z) at z = value/2, in
-    closed form for integer df: Q(a + 1, z) = Q(a, z) + z^a e^-z / Gamma(a + 1),
-    from Q(1/2, z) = erfc(sqrt(z)) for odd df and from 0 at a = 0 for even df.
-    Each term is formed in log space: a recurrence from e^-z underflows to 0
-    at df=200, value=1600, where the tail is about 1e-216.
-    """
-    if not isinstance(df, int) or df < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df!r}")
-    if not 0 <= value < math.inf:
-        raise ValueError(f"chi-squared statistic must be finite and >= 0, got {value}")
-    if value == 0:
-        return 1.0
-    z = value / 2.0
-    if df % 2:
-        tail, exponents = math.erfc(math.sqrt(z)), [i - 0.5 for i in range(1, (df + 1) // 2)]
-    else:
-        tail, exponents = 0.0, range(df // 2)
-    log_z = math.log(z)
-    tail += sum(math.exp(a * log_z - z - math.lgamma(a + 1)) for a in exponents)
-    return min(tail, 1.0)  # rounded terms lift a tail near 1 past it: df=200, value=25
+    return h, math.erfc(math.sqrt(h / 2.0))
 
 
 def compare_samples(first: Sample, second: Sample) -> CohortComparison:
     """Delta, KS distance, and Kruskal-Wallis (H, p) between two samples."""
-    h, p = kruskal_wallis([first, second])
+    h, p = kruskal_wallis(first, second)
     return CohortComparison(
         delta=cliffs_delta(first, second),
         ks=ks_distance(first, second),

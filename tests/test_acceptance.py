@@ -17,7 +17,7 @@ import pytest
 
 from conftest import make_corpus
 from oracles import (
-    oracle_chi2_sf_df1,
+    oracle_chi2_sf,
     oracle_cliffs_delta,
     oracle_kruskal_h,
     oracle_ks_distance,
@@ -27,8 +27,9 @@ from msr_audit.gateway import ObliviousBackend, PartialCopyBackend, VerbatimBack
 from msr_audit.matching import FrequencyArray, maximal_common_substrings, sum_arrays
 from msr_audit.prompting import segment
 from msr_audit.runner import ExperimentConfig, emit_report, run_audit, sweep_length
-from msr_audit.stats import chi2_sf, cliffs_delta, compare_cohorts, kruskal_wallis, ks_distance
+from msr_audit.stats import cliffs_delta, compare_cohorts, kruskal_wallis, ks_distance
 from test_prompting import _doc
+from test_stats import kw_pairs_spanning_h
 
 SPLIT = {"pre": VerbatimBackend(), "post": ObliviousBackend()}
 
@@ -166,7 +167,7 @@ def test_criterion_6_length_sweep_contract():
 def test_criterion_7_statistical_unit_oracles():
     ok = False
     try:
-        h, p = kruskal_wallis([[1, 2], [3, 4]])
+        h, p = kruskal_wallis([1, 2], [3, 4])
         assert h == pytest.approx(2.4, abs=1e-9)
         assert p == pytest.approx(0.1213, abs=1e-4)
         assert float(oracle_kruskal_h([[1, 2], [3, 4]])) == pytest.approx(2.4, abs=1e-12)
@@ -175,12 +176,15 @@ def test_criterion_7_statistical_unit_oracles():
         assert delta == pytest.approx(-5 / 9, abs=1e-12)
         assert oracle_cliffs_delta([1, 2, 3], [2, 3, 4]) == Fraction(-5, 9)
 
-        for i in range(0, 161):
-            x = i / 4.0
-            assert abs(chi2_sf(x, 1) - oracle_chi2_sf_df1(x)) <= 1e-8
+        hs = []
+        for x, y in kw_pairs_spanning_h():
+            h, p = kruskal_wallis(x, y)
+            assert abs(p - oracle_chi2_sf(h, 1)) <= 1e-8
+            hs.append(h)
+        assert min(hs) == 0.0 and max(hs) > 40
         ok = True
     finally:
-        _report(7, "KW (2.4, 0.1213), delta -5/9, chi2 df=1 matches erfc to 1e-8 on [0, 40]", ok)
+        _report(7, "KW (2.4, 0.1213), delta -5/9, KW p matches mpmath chi2 df=1 to 1e-8 for H in [0, 40]", ok)
 
 
 def test_criterion_8_deterministic_csv_output(big_corpus, tmp_path):
