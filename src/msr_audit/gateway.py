@@ -49,6 +49,8 @@ class GenerationParams:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
         if self.temperature < 0:
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         if self.max_tokens is not None and self.max_tokens < 1:
@@ -143,6 +145,12 @@ def _fresh_tokens(count: int, forbidden: frozenset[str], rng: random.Random) -> 
     return out
 
 
+def _folded(reference_tokens: Sequence[str]) -> frozenset[str]:
+    """The reference words a fresh word must avoid. Fresh words are lowercase,
+    so forbidding the folded forms keeps them unmatched under case folding too."""
+    return frozenset(token.lower() for token in reference_tokens)
+
+
 class ObliviousBackend(Backend):
     """Emits a seeded synthetic word sequence sharing no token with the
     reference; models a source the backend never saw."""
@@ -152,7 +160,7 @@ class ObliviousBackend(Backend):
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         rng = _call_rng(params.seed, transcript.reference_text)
-        forbidden = frozenset(transcript.reference_tokens)
+        forbidden = _folded(transcript.reference_tokens)
         return " ".join(_fresh_tokens(len(transcript.reference_tokens), forbidden, rng))
 
 
@@ -179,7 +187,7 @@ class PartialCopyBackend(Backend):
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         rng = _call_rng(params.seed, transcript.reference_text)
         ref = transcript.reference_tokens
-        forbidden = frozenset(ref)
+        forbidden = _folded(ref)
         out: list[str] = []
         for start in range(0, len(ref), self.chunk_words):
             chunk = ref[start : start + self.chunk_words]

@@ -109,10 +109,10 @@ class ExperimentConfig:
                 f"truncation to {self.truncate_words} words cannot fill {self.shots} segments"
             )
         resolved = self.resolved_l_max
-        if resolved < self.l_min:
+        if resolved <= self.l_min:
             raise ValueError(
-                f"resolved l_max {resolved} is below l_min {self.l_min}; "
-                "raise the truncation length or lower l_min"
+                f"resolved l_max {resolved} is not above l_min {self.l_min}, but the cohort "
+                "comparison needs at least two thresholds; raise l_max or the truncation length, or lower l_min"
             )
 
 

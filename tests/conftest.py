@@ -11,6 +11,13 @@ import pytest
 from msr_audit import Backend, BackendError, Document, ExperimentConfig
 
 
+def pytest_collection_modifyitems(items):
+    """Turn every warning into a test failure. The mark goes first, so a
+    test's own filterwarnings marks still take precedence over it."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error"), append=False)
+
+
 def synthetic_text(tag: str, n_words: int) -> str:
     """Deterministic text whose tokens are unique within the document."""
     return " ".join(f"{tag}w{i}" for i in range(n_words))

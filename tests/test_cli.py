@@ -108,6 +108,25 @@ def test_audit_usage_error_exit_1(corpus_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "extra"),
+    [
+        (["audit"], ["--lmin", "5", "--lmax", "5"]),
+        # At 6 shots, the 30-word value caps l_max at 30 // 6 = 5 = l_min.
+        (["sweep", "length", "--values", "120,30"], ["--lmin", "5"]),
+    ],
+    ids=["audit", "sweep-length"],
+)
+def test_one_threshold_fails_before_any_request(corpus_files, tmp_path, monkeypatch, capsys, command, extra):
+    pre, post = corpus_files
+    calls = []
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda *args: calls.append(1) or "")
+    out = tmp_path / "r"
+    assert main([*command, *_audit_args(pre, post, out, *extra)[1:]]) == 1
+    assert "two thresholds" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_audit_missing_corpus_exit_2(tmp_path, capsys):
     code = main(_audit_args(tmp_path / "absent.jsonl", tmp_path / "also-absent.jsonl", tmp_path / "r"))
     assert code == 2
@@ -322,6 +341,15 @@ def test_sweep_close_temperatures_get_distinct_report_dirs(corpus_files, tmp_pat
     ]
 
 
+@pytest.mark.parametrize("values", ["nan", "nan,nan", "0.1,inf", "0.1,-inf"])
+def test_sweep_non_finite_temperature_exit_1(corpus_files, tmp_path, capsys, values):
+    pre, post = corpus_files
+    out = tmp_path / "s"
+    assert main(["sweep", "temperature", "--values", values] + _audit_args(pre, post, out)[1:]) == 1
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_non_numeric_values_exit_1(corpus_files, tmp_path):
     pre, post = corpus_files
     code = main(["sweep", "shots", "--values", "four"] + _audit_args(pre, post, tmp_path / "s")[1:])
@@ -428,6 +456,14 @@ def test_match_bad_bounds_exit_1(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("x", encoding="utf-8")
     assert main(["match", str(f), str(f), "--lmin", "9", "--lmax", "3"]) == 1
+
+
+def test_match_accepts_a_single_threshold(tmp_path, capsys):
+    # match makes no cohort comparison, so one length is a valid range.
+    f = tmp_path / "a.txt"
+    f.write_text("a b c d e f", encoding="utf-8")
+    assert main(["match", str(f), str(f), "--lmin", "5", "--lmax", "5"]) == 0
+    assert capsys.readouterr().out.endswith("k,count\n5,1\n")
 
 
 def test_transcript_command(tmp_path, capsys):

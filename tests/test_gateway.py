@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import ssl
 import threading
@@ -30,6 +31,7 @@ from msr_audit.gateway import (
 )
 from msr_audit.matching import maximal_common_substrings
 from msr_audit.prompting import GeneratedCompletion, build_transcript, segment
+from msr_audit.runner import ExperimentConfig
 
 # A backend must not leave sockets for the garbage collector to close.
 pytestmark = [
@@ -104,6 +106,14 @@ def test_generation_params_validation():
         GenerationParams(temperature=-0.5)
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_temperature_is_rejected(bad):
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        GenerationParams(temperature=bad)
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        ExperimentConfig(temperature=bad)
 
 
 def test_request_key_sensitivity():

@@ -23,6 +23,7 @@ from msr_audit.gateway import (
     ObliviousBackend,
     PartialCopyBackend,
     VerbatimBackend,
+    _SYLLABLES,
     request_key,
 )
 from msr_audit.matching import FrequencyArray
@@ -74,6 +75,14 @@ def test_config_validation_rejects(kwargs):
         ExperimentConfig(**kwargs)
     with pytest.raises(ValueError):
         replace(ExperimentConfig(), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"l_max": 5}, {"truncate_words": 30}], ids=["lmax", "truncate"])
+def test_config_needs_two_thresholds(kwargs):
+    # At 6 shots, truncation to 30 words caps l_max at 30 // 6 = 5 = l_min.
+    with pytest.raises(ValueError, match="two thresholds"):
+        ExperimentConfig(l_min=5, **kwargs)
+    ExperimentConfig(l_min=4, **kwargs)
 
 
 def test_config_params_carry_the_request_fields():
@@ -297,6 +306,21 @@ def test_run_audit_lowercase_normalizes_before_matching(small_config):
     report = run_audit(_cased_corpus(), config, backends=UppercasingVerbatim())
     # the reference and the completion are both folded when scored
     assert report.documents[0].longest_match == 20
+
+
+@pytest.mark.parametrize("backend", [ObliviousBackend(), PartialCopyBackend(0.0)], ids=["oblivious", "partial:0"])
+def test_fresh_words_stay_unmatched_under_lowercase(backend):
+    # Capitalised words the mocks could emit in lowercase, so only forbidding
+    # the folded reference keeps the completions unmatched once folded.
+    rng = random.Random(0)
+    words = ["".join(rng.choice(_SYLLABLES) for _ in range(3)).capitalize() for _ in range(4 * 1200)]
+    docs = [
+        Document(id=f"{cohort}-{i}", cohort=cohort, text=" ".join(words[j * 1200 : (j + 1) * 1200]))
+        for j, (cohort, i) in enumerate([("pre", 0), ("pre", 1), ("post", 0), ("post", 1)])
+    ]
+    report = run_audit(docs, ExperimentConfig(l_min=1, lowercase=True), backends=backend)
+    assert [summary.longest_match for summary in report.documents] == [0, 0, 0, 0]
+    assert set(report.f_pre.counts) == set(report.f_post.counts) == {0}
 
 
 def test_run_audit_lowercase_sends_the_text_as_written(small_config):
