@@ -31,7 +31,6 @@ from msr_audit.gateway import (
 )
 from msr_audit.matching import maximal_common_substrings
 from msr_audit.prompting import GeneratedCompletion, build_transcript, segment
-from msr_audit.runner import ExperimentConfig
 
 # A backend must not leave sockets for the garbage collector to close.
 pytestmark = [
@@ -106,14 +105,9 @@ def test_generation_params_validation():
         GenerationParams(temperature=-0.5)
     with pytest.raises(ValueError):
         GenerationParams(max_tokens=0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_temperature_is_rejected(bad):
-    with pytest.raises(ValueError, match="temperature must be finite"):
-        GenerationParams(temperature=bad)
-    with pytest.raises(ValueError, match="temperature must be finite"):
-        ExperimentConfig(temperature=bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            GenerationParams(temperature=bad)
 
 
 def test_request_key_sensitivity():
