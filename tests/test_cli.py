@@ -95,8 +95,8 @@ def test_audit_output_is_byte_stable(tmp_path, capsys):
     pre = write_corpus_jsonl(tmp_path / "pre.jsonl", [Document(f"pre-{i}", "pre", t) for i, t in enumerate(texts[:3])])
     post = write_corpus_jsonl(tmp_path / "post.jsonl", [Document(f"post-{i}", "post", t) for i, t in enumerate(texts[3:])])
     out = tmp_path / "r"
-    argv = _audit_args(pre, post, out, "--lmax", "10", "--backend-pre", "partial:0.35", "--backend-post", "partial:0.05")
-    assert main([*argv, "--seed", "5"]) == 0
+    backends = ("--backend-pre", "partial:0.35", "--backend-post", "partial:0.05")
+    assert main(_audit_args(pre, post, out, "--lmax", "10", *backends, "--seed", "5")) == 0
     summary, frequencies = out / "summary.json", out / "frequencies.csv"
     assert capsys.readouterr().out == _AUDIT_COMPARISON + f"wrote {summary}\nwrote {frequencies}\n"
     assert frequencies.read_bytes() == _AUDIT_FREQUENCIES.encode()

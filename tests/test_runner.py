@@ -313,8 +313,8 @@ def test_fresh_words_stay_unmatched_under_lowercase(backend):
     rng = random.Random(0)
     words = ["".join(rng.choice(_SYLLABLES) for _ in range(3)).capitalize() for _ in range(4 * 1200)]
     docs = [
-        Document(id=f"{cohort}-{i}", cohort=cohort, text=" ".join(words[j * 1200 : (j + 1) * 1200]))
-        for j, (cohort, i) in enumerate([("pre", 0), ("pre", 1), ("post", 0), ("post", 1)])
+        Document(id=f"{cohort}-{j}", cohort=cohort, text=" ".join(words[j * 1200 : (j + 1) * 1200]))
+        for j, cohort in enumerate(["pre", "pre", "post", "post"])
     ]
     report = run_audit(docs, ExperimentConfig(l_min=1, lowercase=True), backends=backend)
     assert [summary.longest_match for summary in report.documents] == [0, 0, 0, 0]
