@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
@@ -426,3 +427,21 @@ def test_kernel_memory_on_zipf_chunk_copy_pair(ref, gen, q, rows, bound_mb):
     else:
         assert len(matches) == rows
     assert peak < bound_mb * 2**20, f"kernel peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("block", [None, 997], ids=["one-block", "block-997"])
+@pytest.mark.parametrize(
+    ("q", "shape", "digest"),
+    [
+        (1, (269_338, 3), "721051619768284a965376992780e5292bb74de394c4c2a2b499bcce6a4f584c"),
+        (5, (80, 3), "f5002d707f71a135f42e48565128810cf0642e5cac66c90004157f4393dc051d"),
+    ],
+)
+def test_kernel_rows_are_golden_on_long_zipf_chunk_copy_pair(q, shape, digest, block):
+    # Pins every byte of the rows of a pair too long for the oracle tests,
+    # listed in one block and in hundreds.
+    ref, gen = _zipf_chunk_copy_pair(3, 3000)
+    with mock.patch.object(matching, "_BLOCK", block or matching._BLOCK):
+        matches = maximal_common_substrings(ref, gen, q)
+    assert matches.shape == shape
+    assert hashlib.sha256(matches.tobytes()).hexdigest() == digest
