@@ -243,7 +243,6 @@ class LiveBackend(Backend):
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        self.api_key = api_key
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
@@ -369,8 +368,7 @@ class GenerationCache:
     back: the key is the digest of the whole request, so it already names
     the backend and parameters; the other fields record provenance for
     people reading the file. A line without a string "key" and "output" is
-    skipped with a warning. Writes are serialized; lookups may run
-    concurrently.
+    skipped with a warning. One lock serializes lookups and writes.
     """
 
     def __init__(self, path: str | Path) -> None:

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 # Most equal q-gram pairs the match kernel lists at once (see _blocks); its
-# per-block arrays then stay near 18 MB.
+# per-block arrays then stay near 19 MB.
 _BLOCK = 2**20
 
 
@@ -79,9 +79,10 @@ def _qgram_keys(ids: np.ndarray, n_ids: int, q: int) -> np.ndarray:
     return keys
 
 
-def _diagonal_order(i: np.ndarray, j: np.ndarray, n_ref: int) -> np.ndarray:
-    """Indices that sort pairs by (diagonal j - i, i); the key is unique."""
-    return np.argsort((j.astype(np.int64) - i) * n_ref + i)
+def _diagonal_key(i: np.ndarray, j: np.ndarray, n_ref: int) -> np.ndarray:
+    """Key (j - i) * n_ref + i of pairs (i, j), 0 <= i < n_ref: diagonal d's
+    keys fill [d * n_ref, (d + 1) * n_ref) and grow by one along it."""
+    return (j.astype(np.int64) - i) * n_ref + i
 
 
 def _blocks(counts: np.ndarray, n_pairs: int) -> list[slice]:
@@ -97,36 +98,6 @@ def _blocks(counts: np.ndarray, n_pairs: int) -> list[slice]:
         done = ends[start - 1] if start else 0
         edges.append(max(int(np.searchsorted(ends, done + _BLOCK, "right")), start + 1))
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
-def _run_bounds(
-    rows: slice,
-    counts: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    order: np.ndarray,
-    a_pad: np.ndarray,
-    b_pad: np.ndarray,
-    q: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run starts and run ends among the equal pairs of the ref rows
-    ``rows``, as arrays start_i, start_j, end_i, end_j in (i, j) order.
-    Row i has ``counts[i]`` pairs, whose gen positions are
-    ``order[lo[i] : hi[i]]``."""
-    counts, lo, hi = counts[rows], lo[rows], hi[rows]
-    pair_i = np.repeat(np.arange(rows.start, rows.stop, dtype=np.int32), counts)
-    # i's pairs take the slots lo[i] .. hi[i] - 1 of order, one after the
-    # other: a running sum of int32 steps that jumps at each i's first pair.
-    # Every partial sum is a slot, so none overflows.
-    hit = counts > 0
-    lo, hi, counts = lo[hit], hi[hit], counts[hit]
-    slot = np.ones(len(pair_i), dtype=np.int32)
-    slot[np.cumsum(counts) - counts] = lo - np.concatenate(([0], hi[:-1] - 1))
-    pair_j = order[np.cumsum(slot, out=slot)]
-    del slot
-    is_start = a_pad[pair_i] != b_pad[pair_j]
-    is_end = a_pad[q + 1 :][pair_i] != b_pad[q + 1 :][pair_j]
-    return pair_i[is_start], pair_j[is_start], pair_i[is_end], pair_j[is_end]
 
 
 def _matches(lengths: np.ndarray, start_i: np.ndarray, start_j: np.ndarray) -> np.ndarray:
@@ -158,28 +129,31 @@ def maximal_common_substrings(
     is the interned token id. A sort-join of the keys (argsort +
     searchsorted) gives each ref position i the gen positions j whose q-gram
     equals its own, and so each row i's pair count. The pairs (i, j) are
-    listed (repeat + a running sum) in (i, j) order one block at a time: a
-    block is a range of consecutive rows with at most ``_BLOCK`` pairs in
-    all, or a single row with more. A pair starts a run when the tokens
-    before it, (i - 1, j - 1), are off-grid or unequal, and ends one when the
-    tokens after it, (i + q, j + q), are; a block keeps only its run starts
-    and ends. A run of r such pairs on one diagonal is one maximal match of
-    r + q - 1 words. Runs on one diagonal j - i are disjoint, so once the
-    starts and ends of all blocks are each sorted by (diagonal, i) the k-th
-    start and the k-th end bound the same run. Starts keep their (i, j)
-    order, so the result needs no final sort.
+    listed (repeat + arange) in (i, j) order one block at a time: a block is
+    a range of consecutive rows with at most ``_BLOCK`` pairs in all, or a
+    single row with more. A pair starts a run when the tokens before it,
+    (i - 1, j - 1), are off-grid or unequal, and ends one when the tokens
+    after it, (i + q, j + q), are; a block keeps its run starts as (i, j)
+    and its run ends only as diagonal keys (j - i) * n + i
+    (``_diagonal_key``). A run of r such pairs on one diagonal is one
+    maximal match of r + q - 1 words. Diagonal d's keys fill
+    [d * n, (d + 1) * n) and grow by one along it, and runs on one diagonal
+    are disjoint, so once the start keys are argsorted and the end keys
+    sorted, the k-th start and the k-th end bound the same run, and their
+    keys differ by its length less q. Starts keep their (i, j) order, so the
+    result needs no final sort.
 
-    With P equal q-gram pairs and R runs this takes O(q (n + m) + P log P)
-    time and O(n + m + min(P, _BLOCK) + R) memory, held in int32 arrays
-    (keys are int64 for q > 1); a single row holds at most m pairs. For
+    With P equal q-gram pairs and R runs this takes O(q (n + m) log(n + m)
+    + P + R log R) time and O(n + m + min(P, _BLOCK) + R) memory, held in
+    int32 arrays (keys are int64); a single row holds at most m pairs. For
     words drawn with frequencies p_w, P at q = 1 is about
     n * m * sum(p_w ** 2), far below n * m, so an ordinary pair is one
     block; a larger q keeps only the pairs that begin a common q-gram, which
     drops the single frequent words that dominate it. The worst case is one
     token filling both sides: every q-gram is then equal too, so P is about
-    n * m at any q while R is only about n + m. There the kernel
-    peaks near 18 MB (tracemalloc) at 2048 x 2048 and at 4096 x 4096 tokens,
-    at q = 1 and q = 5 alike, and takes about 0.15 s and 0.7 s.
+    n * m at any q while R is only about n + m. There the kernel peaks near
+    19 MB (tracemalloc) at 2048 x 2048 tokens (q = 1) and at 4096 x 4096
+    (q = 5), and takes about 0.07 s and 0.3 s.
     """
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
@@ -200,8 +174,7 @@ def maximal_common_substrings(
     order = np.argsort(key_b, kind="stable").astype(np.int32)
     sorted_b = key_b[order]
     lo = np.searchsorted(sorted_b, key_a, "left")
-    hi = np.searchsorted(sorted_b, key_a, "right")
-    counts = hi - lo
+    counts = np.searchsorted(sorted_b, key_a, "right") - lo
     n_pairs = int(counts.sum())
     if n_pairs == 0:
         return _matches(none, none, none)
@@ -210,15 +183,27 @@ def maximal_common_substrings(
     # pad[i] is the token before position i, pad[q + 1:][i] the one q after it.
     a_pad = np.concatenate(([-1], a, [-1]), dtype=np.int32)
     b_pad = np.concatenate(([-2], b, [-2]), dtype=np.int32)
-    blocks = [_run_bounds(rows, counts, lo, hi, order, a_pad, b_pad, q) for rows in _blocks(counts, n_pairs)]
-    start_i, start_j, end_i, end_j = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    start_i, start_j, end_keys = [], [], []
+    for rows in _blocks(counts, n_pairs):
+        row_counts = counts[rows]
+        pair_i = np.repeat(np.arange(rows.start, rows.stop, dtype=np.int32), row_counts)
+        # Row i's pairs take the slots lo[i], lo[i] + 1, ... of order. lo[i]
+        # less the block's pairs before row i lies in (-_BLOCK, m), and every
+        # slot in [0, m), so int32 holds them.
+        base = (lo[rows] - (np.cumsum(row_counts) - row_counts)).astype(np.int32)
+        pair_j = order[np.repeat(base, row_counts) + np.arange(len(pair_i), dtype=np.int32)]
+        is_start = a_pad[pair_i] != b_pad[pair_j]
+        is_end = a_pad[q + 1 :][pair_i] != b_pad[q + 1 :][pair_j]
+        start_i.append(pair_i[is_start])
+        start_j.append(pair_j[is_start])
+        end_keys.append(_diagonal_key(pair_i[is_end], pair_j[is_end], n_ref))
+    start_i, start_j = np.concatenate(start_i), np.concatenate(start_j)
 
-    # The k-th start and the k-th end of one diagonal bound the same run.
-    by_diag_start = _diagonal_order(start_i, start_j, n_ref)
+    # In key order the k-th start and the k-th end bound the same run.
+    start_keys = _diagonal_key(start_i, start_j, n_ref)
+    by_key = np.argsort(start_keys)
     lengths = np.empty_like(start_i)
-    lengths[by_diag_start] = (
-        end_i[_diagonal_order(end_i, end_j, n_ref)] - start_i[by_diag_start] + q
-    )
+    lengths[by_key] = np.sort(np.concatenate(end_keys)) - start_keys[by_key] + q
 
     return _matches(lengths, start_i, start_j)
 

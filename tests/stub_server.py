@@ -67,7 +67,9 @@ class StubServer:
                 pass
 
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # A short poll interval: shutdown() waits up to one interval for the
+        # serving loop to notice.
+        self._thread = threading.Thread(target=self._httpd.serve_forever, args=(0.01,), daemon=True)
 
     @property
     def url(self) -> str:

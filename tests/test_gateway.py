@@ -743,8 +743,8 @@ def test_backend_from_spec_live_reads_environment(monkeypatch):
     backend = backend_from_spec("live")
     assert isinstance(backend, LiveBackend)
     assert backend.url == "http://example.test/v1/chat/completions"
-    assert backend.api_key == "sk-env"
+    assert backend._headers["Authorization"] == "Bearer sk-env"
 
     explicit = backend_from_spec("live", base_url="http://other.test", api_key="sk-flag")
     assert explicit.url == "http://other.test/chat/completions"
-    assert explicit.api_key == "sk-flag"
+    assert explicit._headers["Authorization"] == "Bearer sk-flag"
