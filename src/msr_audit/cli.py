@@ -19,14 +19,13 @@ import json
 import logging
 import os
 import sys
-from contextlib import ExitStack, closing
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 from msr_audit import __version__
 from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate
-from msr_audit.gateway import Backend, BackendError, backend_from_spec
+from msr_audit.gateway import BackendError
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import build_transcript, format_transcript, segment
 from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, emit_report, low_vs_high, run_audit, sweep
@@ -135,21 +134,14 @@ def _load_cohorts(args: argparse.Namespace) -> list:
     return pre + post
 
 
-def _cohort_backends(args: argparse.Namespace, stack: ExitStack) -> dict[str, Backend] | None:
-    """The --backend-pre/--backend-post backends, closed when ``stack`` exits;
-    None leaves ``run_audit``/``sweep`` to build (and close) ``--backend``."""
-    if not args.backend_pre and not args.backend_post:
-        return None
-    return {
-        cohort: stack.enter_context(closing(backend_from_spec(spec or args.backend, base_url=args.base_url)))
-        for cohort, spec in (("pre", args.backend_pre), ("post", args.backend_post))
-    }
+def _cohort_specs(args: argparse.Namespace) -> dict[str, str]:
+    """Each cohort's backend spec: --backend-pre/--backend-post, else --backend."""
+    return {"pre": args.backend_pre or args.backend, "post": args.backend_post or args.backend}
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
     corpus = _load_cohorts(args)
-    with ExitStack() as stack:
-        report = run_audit(corpus, _config_from_args(args), backends=_cohort_backends(args, stack))
+    report = run_audit(corpus, _config_from_args(args), backends=_cohort_specs(args))
     paths = emit_report(report, args.out)
     print(json.dumps(asdict(report.comparison), sort_keys=True))
     print(f"wrote {paths['summary']}")
@@ -179,8 +171,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The swept field starts at the first value, so a flag the sweep
     # overrides (say --shots in a shots sweep) cannot fail the config.
     config = _config_from_args(args, **{SWEEP_FIELDS[args.dimension]: values[0]})
-    with ExitStack() as stack:
-        results = sweep(corpus, config, args.dimension, values, backends=_cohort_backends(args, stack))
+    results = sweep(corpus, config, args.dimension, values, backends=_cohort_specs(args))
     contrast = low_vs_high(results) if args.dimension == "temperature" else None
 
     out = Path(args.out)

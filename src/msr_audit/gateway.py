@@ -409,20 +409,21 @@ class GenerationCache:
             existing = self._outputs.get(key)
             if existing is not None:
                 return existing
-            self._outputs[key] = output
-            line = json.dumps(
-                {
-                    "key": key,
-                    "output": output,
-                    "backend": backend_name,
-                    "model": params.model,
-                    "temperature": params.temperature,
-                    "max_tokens": params.max_tokens,
-                    "seed": params.seed,
-                    "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                },
-                ensure_ascii=False,
-            )
+            record = {
+                "key": key,
+                "output": output,
+                "backend": backend_name,
+                "model": params.model,
+                "temperature": params.temperature,
+                "max_tokens": params.max_tokens,
+                "seed": params.seed,
+                "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            }
+            try:
+                line = json.dumps(record, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                # A lone surrogate has no UTF-8 form; \u escapes round-trip any str.
+                line = json.dumps(record).encode("ascii")
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a+b") as handle:
                 # After an interrupted write the file ends mid-line; start a
@@ -430,8 +431,10 @@ class GenerationCache:
                 if handle.tell():
                     handle.seek(-1, os.SEEK_END)
                     if handle.read(1) != b"\n":
-                        line = "\n" + line
-                handle.write((line + "\n").encode("utf-8"))
+                        line = b"\n" + line
+                handle.write(line + b"\n")
+            # Only a written record is served, so a lookup hit is always on file.
+            self._outputs[key] = output
             return output
 
 

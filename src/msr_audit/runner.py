@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -149,22 +149,24 @@ def _utcnow() -> str:
 @contextmanager
 def _cohort_backends(
     config: ExperimentConfig,
-    backends: Backend | Mapping[str, Backend] | None,
+    backends: Backend | Mapping[str, Backend | str] | None,
 ) -> Iterator[dict[str, Backend]]:
-    """Map each cohort to its backend. A backend built here from
-    ``config.backend`` is closed on exit; the caller's backends stay open."""
-    if backends is None:
-        with closing(backend_from_spec(config.backend, base_url=config.base_url)) as shared:
-            yield {cohort: shared for cohort in COHORTS}
-        return
-    if isinstance(backends, Backend):
-        yield {cohort: backends for cohort in COHORTS}
-        return
-    mapping = dict(backends)
-    missing = [cohort for cohort in COHORTS if cohort not in mapping]
+    """Map each cohort to its backend: ``backends`` is one backend, or a
+    backend or spec string per cohort; None means ``config.backend`` for both.
+    Each distinct spec is built once and closed on exit, also on error; the
+    caller's backends stay open."""
+    if backends is None or isinstance(backends, Backend):
+        backends = dict.fromkeys(COHORTS, config.backend if backends is None else backends)
+    missing = [cohort for cohort in COHORTS if cohort not in backends]
     if missing:
         raise ValueError(f"backends mapping is missing cohorts: {missing}")
-    yield mapping
+    chosen = [backends[cohort] for cohort in COHORTS]
+    with ExitStack() as stack:
+        built = {
+            spec: stack.enter_context(closing(backend_from_spec(spec, base_url=config.base_url)))
+            for spec in dict.fromkeys(spec for spec in chosen if isinstance(spec, str))
+        }
+        yield {cohort: built[spec] if isinstance(spec, str) else spec for cohort, spec in zip(COHORTS, chosen)}
 
 
 def _word_limit(configs: Collection[ExperimentConfig]) -> int | None:
@@ -298,7 +300,7 @@ def _audit(
 def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
-    backends: Backend | Mapping[str, Backend] | None = None,
+    backends: Backend | Mapping[str, Backend | str] | None = None,
 ) -> AuditReport:
     """Run the full audit and compare the pre and post cohorts.
 
@@ -319,7 +321,7 @@ def sweep(
     config: ExperimentConfig,
     dimension: str,
     values: Iterable[int | float],
-    backends: Backend | Mapping[str, Backend] | None = None,
+    backends: Backend | Mapping[str, Backend | str] | None = None,
 ) -> dict[int | float, AuditReport]:
     """Re-run the audit at each value of one config field.
 
@@ -348,7 +350,7 @@ def sweep_length(
     corpus: Sequence[Document],
     config: ExperimentConfig,
     lengths: Iterable[int],
-    backends: Backend | Mapping[str, Backend] | None = None,
+    backends: Backend | Mapping[str, Backend | str] | None = None,
 ) -> dict[int, AuditReport]:
     """Re-run the audit with every document truncated to each length."""
     return sweep(corpus, config, "length", lengths, backends=backends)

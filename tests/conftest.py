@@ -12,9 +12,15 @@ from msr_audit import Backend, BackendError, Document, ExperimentConfig
 
 
 def pytest_collection_modifyitems(items):
-    """Turn every warning into a test failure. The mark goes first, so a
-    test's own filterwarnings marks still take precedence over it."""
+    """Turn every warning into a test failure. The marks go first, so a
+    test's own filterwarnings marks still take precedence over them. The
+    ignore outranks the error: Hypothesis raises that warning while it
+    reports a failing example, and as an error it would abort the session."""
     for item in items:
+        item.add_marker(
+            pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"),
+            append=False,
+        )
         item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 

@@ -295,6 +295,16 @@ def test_cache_skips_line_torn_inside_a_character(tmp_path, caplog):
     assert len(caplog.records) == 1 and "corrupt cache line 3:" in caplog.records[0].message
 
 
+def test_cache_failed_write_leaves_no_lookup_hit(tmp_path):
+    # The cache file's parent is a file, so the write fails.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    cache = GenerationCache(blocker / "cache.jsonl")
+    with pytest.raises(OSError):
+        _store(cache, "k1", "lost")
+    assert cache.lookup("k1") is None
+
+
 def test_cache_store_after_a_torn_last_line_starts_a_new_line(tmp_path, caplog):
     # An interrupted append leaves a last line with no newline; the next
     # store must not land on it.

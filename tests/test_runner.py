@@ -20,6 +20,7 @@ from msr_audit.corpus import CorpusError, Document
 from msr_audit.gateway import (
     Backend,
     BackendError,
+    GenerationCache,
     GenerationParams,
     ObliviousBackend,
     PartialCopyBackend,
@@ -241,9 +242,57 @@ def test_run_audit_rejects_incomplete_backend_mapping(small_corpus, small_config
 class ClosingBackend(VerbatimBackend):
     def __init__(self) -> None:
         self.closed = 0
+        self.calls = 0
+
+    def complete(self, transcript, params):
+        self.calls += 1
+        return super().complete(transcript, params)
 
     def close(self) -> None:
         self.closed += 1
+
+
+def _count_builds(monkeypatch) -> list[ClosingBackend]:
+    """Make the runner build a ClosingBackend for every spec; return them."""
+    built = []
+
+    def build(spec, base_url=None):
+        if spec == "bad":
+            raise ValueError("unknown backend spec 'bad'")
+        built.append(ClosingBackend())
+        return built[-1]
+
+    monkeypatch.setattr(runner, "backend_from_spec", build)
+    return built
+
+
+def test_one_spec_for_both_cohorts_builds_one_shared_backend(small_corpus, small_config, monkeypatch):
+    built = _count_builds(monkeypatch)
+    run_audit(small_corpus, small_config, backends={"pre": "partial:0.5", "post": "partial:0.5"})
+    assert [(backend.calls, backend.closed) for backend in built] == [(6, 1)]
+
+
+def test_cohort_spec_beside_a_caller_backend(small_corpus, small_config, monkeypatch):
+    built = _count_builds(monkeypatch)
+    caller = ClosingBackend()
+    run_audit(small_corpus, small_config, backends={"pre": "verbatim", "post": caller})
+    assert [(backend.calls, backend.closed) for backend in built] == [(3, 1)]
+    assert (caller.calls, caller.closed) == (3, 0)
+
+
+def test_every_backend_built_from_cohort_specs_is_closed(small_corpus, small_config, monkeypatch):
+    built = _count_builds(monkeypatch)
+    specs = {"pre": "verbatim", "post": "oblivious"}
+    run_audit(small_corpus, small_config, backends=specs)
+    sweep(small_corpus, small_config, "shots", [2, 4], backends=specs)
+    with pytest.raises(CorpusError):
+        run_audit(small_corpus, replace(small_config, min_words=500), backends=specs)
+    with pytest.raises(CorpusError):
+        sweep(small_corpus, replace(small_config, min_words=500), "shots", [2, 4], backends=specs)
+    # A spec that fails to build still closes the one built before it.
+    with pytest.raises(ValueError, match="'bad'"):
+        run_audit(small_corpus, small_config, backends={"pre": "verbatim", "post": "bad"})
+    assert [backend.closed for backend in built] == [1] * 9
 
 
 def test_run_audit_and_sweep_close_the_backend_they_build(small_corpus, small_config, monkeypatch):
@@ -350,6 +399,24 @@ def test_run_audit_uses_cache_across_runs(small_corpus, small_config, tmp_path):
     second = run_audit(small_corpus, config, backends=counting)
     assert counting["pre"].calls == 3 and counting["post"].calls == 3  # all cache hits
     assert first.f_pre == second.f_pre and first.f_post == second.f_post
+
+
+def test_cached_run_audit_keeps_a_completion_with_a_lone_surrogate(small_corpus, small_config, tmp_path):
+    # A JSON "\ud800" escape in a live response decodes to a lone surrogate,
+    # which UTF-8 cannot encode.
+    class SurrogateBackend(VerbatimBackend):
+        def complete(self, transcript, params):
+            return super().complete(transcript, params) + " \ud800"
+
+    path = tmp_path / "cache.jsonl"
+    report = run_audit(small_corpus, replace(small_config, cache_path=str(path)), backends=SurrogateBackend())
+    assert report.failures == 0
+    lines = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert len(lines) == len(small_corpus)
+    reloaded = GenerationCache(path)
+    for line in lines:
+        assert line["output"].endswith(" \ud800")
+        assert reloaded.lookup(line["key"]) == line["output"]
 
 
 def test_sweep_builds_one_cache_and_parses_each_line_once(small_corpus, small_config, tmp_path, monkeypatch):
