@@ -142,28 +142,29 @@ def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Do
     if cohort_override is not None and cohort_override not in COHORTS:
         raise CorpusError(f"cohort_override must be one of {COHORTS}, got {cohort_override!r}")
     path = Path(path)
-    try:
-        raw_lines = path.read_text(encoding="utf-8-sig").split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            doc = _parse_record(raw, lineno, cohort_override)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}: {exc}") from exc
-        if doc.id in seen:
-            raise CorpusError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
-        seen.add(doc.id)
-        docs.append(doc)
+    # One line at a time, split at line feeds only: the file's whole text is
+    # never held beside the documents parsed from it.
+    try:
+        with path.open(encoding="utf-8-sig", newline="\n") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+                try:
+                    doc = _parse_record(raw, lineno, cohort_override)
+                except CorpusError as exc:
+                    raise CorpusError(f"{path}: {exc}") from exc
+                if doc.id in seen:
+                    raise CorpusError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
+                seen.add(doc.id)
+                docs.append(doc)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
     return docs
 
 

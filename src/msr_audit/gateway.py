@@ -28,6 +28,10 @@ from msr_audit.prompting import Transcript
 logger = logging.getLogger(__name__)
 
 RETRY_STATUS = frozenset({429}) | frozenset(range(500, 600))
+# Tries per live request, the first included.
+_MAX_ATTEMPTS = 5
+# Reference words per chunk the partial-copy mock copies or replaces.
+_CHUNK_WORDS = 8
 
 
 class BackendError(Exception):
@@ -165,8 +169,8 @@ class ObliviousBackend(Backend):
 
 
 class PartialCopyBackend(Backend):
-    """Copies each reference chunk with probability ``p``, otherwise
-    substitutes synthetic words of the same length.
+    """Copies each ``_CHUNK_WORDS``-word reference chunk with probability
+    ``p``, otherwise substitutes synthetic words of the same length.
 
     A synthetic separator word follows every chunk, so each copied chunk
     surfaces as one isolated maximal match of the chunk's length rather than
@@ -175,13 +179,10 @@ class PartialCopyBackend(Backend):
 
     uses_seed = True
 
-    def __init__(self, p: float, chunk_words: int = 8) -> None:
+    def __init__(self, p: float) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"copy probability must be in [0, 1], got {p}")
-        if chunk_words < 1:
-            raise ValueError(f"chunk_words must be >= 1, got {chunk_words}")
         self.p = p
-        self.chunk_words = chunk_words
         self.name = f"partial:{p:g}"
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
@@ -189,8 +190,8 @@ class PartialCopyBackend(Backend):
         ref = transcript.reference_tokens
         forbidden = _folded(ref)
         out: list[str] = []
-        for start in range(0, len(ref), self.chunk_words):
-            chunk = ref[start : start + self.chunk_words]
+        for start in range(0, len(ref), _CHUNK_WORDS):
+            chunk = ref[start : start + _CHUNK_WORDS]
             if rng.random() < self.p:
                 out.extend(chunk)
             else:
@@ -203,7 +204,9 @@ class LiveBackend(Backend):
     """Chat-completions HTTP client with exponential backoff and jitter.
 
     Retries transient failures (timeouts, connection errors, 429, 5xx) up to
-    ``max_attempts`` times; other client errors surface immediately.
+    ``_MAX_ATTEMPTS`` tries in all; other client errors surface immediately.
+    A query on ``base_url`` stays the query of the request, whose path is the
+    base URL's path plus ``/chat/completions``.
 
     Keep-alive connections are pooled on the backend: a request takes an idle
     connection or dials a new one, and returns it only after reading the whole
@@ -219,16 +222,16 @@ class LiveBackend(Backend):
         base_url: str,
         api_key: str | None = None,
         timeout: float = 60.0,
-        max_attempts: int = 5,
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if not base_url:
             raise ValueError("live backend requires a base URL")
-        self.url = base_url.rstrip("/") + "/chat/completions"
-        parts = urllib.parse.urlsplit(self.url)
+        parts = urllib.parse.urlsplit(base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"live backend URL must be http(s)://host[:port][/path], got {base_url!r}")
+        parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions")
+        self.url = urllib.parse.urlunsplit(parts)
         self._path = parts.path + (f"?{parts.query}" if parts.query else "")
         if parts.scheme == "https":
             self._dial = functools.partial(
@@ -243,7 +246,6 @@ class LiveBackend(Backend):
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
-        self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self._sleep = sleep
         self._idle: list[http.client.HTTPConnection] = []
@@ -260,7 +262,7 @@ class LiveBackend(Backend):
         body = json.dumps(request_body(transcript, params)).encode("utf-8")
 
         last_error = "no attempts made"
-        for attempt in range(self.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             if attempt:
                 delay = self.backoff_base * 2 ** (attempt - 1) * (0.5 + random.random())
                 logger.warning("retrying after %s (attempt %d): %s", last_error, attempt + 1, self.url)
@@ -280,7 +282,7 @@ class LiveBackend(Backend):
                 text = data[:200].decode("utf-8", errors="replace")
                 raise BackendError(f"HTTP {status} from {self.url}: {text}")
             return self._extract_content(data)
-        raise BackendError(f"request to {self.url} failed after {self.max_attempts} attempts: {last_error}")
+        raise BackendError(f"request to {self.url} failed after {_MAX_ATTEMPTS} attempts: {last_error}")
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One POST on an idle connection, or on a new one if none is idle.
@@ -335,11 +337,11 @@ class LiveBackend(Backend):
         return content
 
 
-def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | None = None) -> Backend:
+def backend_from_spec(spec: str, base_url: str | None = None) -> Backend:
     """Build a backend from its CLI spec: live | verbatim | oblivious | partial:P.
 
     For the live backend the base URL falls back to the MSR_BASE_URL
-    environment variable and the bearer token to MSR_API_KEY.
+    environment variable, and the bearer token is MSR_API_KEY's value.
     """
     if spec == "verbatim":
         return VerbatimBackend()
@@ -355,7 +357,7 @@ def backend_from_spec(spec: str, base_url: str | None = None, api_key: str | Non
         url = base_url or os.environ.get("MSR_BASE_URL")
         if not url:
             raise ValueError("live backend requires --base-url or MSR_BASE_URL")
-        return LiveBackend(url, api_key=api_key or os.environ.get("MSR_API_KEY"))
+        return LiveBackend(url, api_key=os.environ.get("MSR_API_KEY"))
     raise ValueError(f"unknown backend {spec!r}; expected live, verbatim, oblivious, or partial:P")
 
 

@@ -220,6 +220,13 @@ def test_load_corpus_reads_crlf_files(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_treats_a_lone_carriage_return_as_whitespace(tmp_path):
+    # Lines end at "\n" only; a "\r" between JSON tokens is whitespace.
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a",\r"cohort": "pre", "text": "t"}\n{"id": "b", "cohort": "post", "text": "u"}\n')
+    assert [(d.id, d.text) for d in load_corpus(path)] == [("a", "t"), ("b", "u")]
+
+
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -250,6 +257,33 @@ def test_load_corpus_rejects_duplicate_ids(tmp_path):
 def test_load_corpus_missing_file():
     with pytest.raises(CorpusError, match="cannot read"):
         load_corpus("/nonexistent/corpus.jsonl")
+
+
+def test_load_corpus_rejects_invalid_utf8_after_the_first_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"id": "a", "cohort": "pre", "text": "t"}\n{"id": "b", "cohort": "post", "text": "\xff"}\n')
+    with pytest.raises(CorpusError, match="cannot read corpus file"):
+        load_corpus(path)
+
+
+def test_load_corpus_memory_stays_near_the_loaded_text(tmp_path):
+    # About 2 MB of ASCII text; a whole-file read and split would hold every
+    # line beside the documents, a peak of about twice the text.
+    rng = random.Random(2000)
+    records = [
+        {"id": f"d{i}", "cohort": "pre", "text": " ".join(f"w{rng.randrange(20_000)}" for _ in range(1700))}
+        for i in range(200)
+    ]
+    path = _write_lines(tmp_path / "c.jsonl", [json.dumps(r) for r in records])
+    tracemalloc.start()
+    try:
+        docs = load_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    loaded = sum(len(d.text) for d in docs)
+    assert loaded > 1_900_000
+    assert peak < 1.5 * loaded, f"load_corpus peaked at {peak / loaded:.2f}x the {loaded} loaded characters"
 
 
 def test_load_corpus_cohort_override(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import UNICODE_TEXT, CountingBackend, FailingBackend
 from stub_server import StubServer, completion_body
+from msr_audit import gateway
 from msr_audit.corpus import Document, tokenize_document
 from msr_audit.gateway import (
     Backend,
@@ -164,8 +165,6 @@ def test_partial_copy_validation():
         PartialCopyBackend(-0.1)
     with pytest.raises(ValueError):
         PartialCopyBackend(1.5)
-    with pytest.raises(ValueError):
-        PartialCopyBackend(0.5, chunk_words=0)
     assert PartialCopyBackend(0.5).name == "partial:0.5"
 
 
@@ -175,18 +174,20 @@ def test_partial_copy_p0_is_oblivious_like():
     assert not set(out.split()) & set(transcript.reference_tokens)
 
 
-def test_partial_copy_p1_yields_isolated_chunk_matches():
+def test_partial_copy_p1_yields_isolated_chunk_matches(monkeypatch):
+    monkeypatch.setattr(gateway, "_CHUNK_WORDS", 8)
     transcript = _transcript(120, 6)  # 20-token reference, chunks of 8: [8, 8, 4]
-    out = PartialCopyBackend(1.0, chunk_words=8).complete(transcript, GenerationParams())
+    out = PartialCopyBackend(1.0).complete(transcript, GenerationParams())
     matches = maximal_common_substrings(transcript.reference_tokens, out.split())
     assert matches[:, 0].tolist() == [8, 8, 4]
     assert matches[:, 1].tolist() == [0, 8, 16]
 
 
-def test_partial_copy_fraction_tracks_p():
+def test_partial_copy_fraction_tracks_p(monkeypatch):
+    monkeypatch.setattr(gateway, "_CHUNK_WORDS", 1)
     transcript = _transcript(24006, 6)  # 4001-token reference
     for p in (0.2, 0.5, 0.8):
-        backend = PartialCopyBackend(p, chunk_words=1)
+        backend = PartialCopyBackend(p)
         out = backend.complete(transcript, GenerationParams(seed=0)).split()
         ref = transcript.reference_tokens
         copied = sum(1 for i, tok in enumerate(ref) if out[2 * i] == tok)
@@ -567,6 +568,16 @@ def test_live_backend_success_request_shape():
     assert body == request_body(transcript, GenerationParams(model="gpt-x", temperature=0.3))
 
 
+@pytest.mark.parametrize("path", ["/v1", "/v1/"])
+def test_live_backend_keeps_the_base_url_query_on_the_request(path):
+    # The Azure OpenAI form: the API version rides on the query string.
+    with StubServer() as server:
+        backend = LiveBackend(f"{server.url}{path}?api-version=2024-02-01")
+        assert backend.complete(_transcript(), GenerationParams()) == "fallback"
+    assert server.requests[0][0] == "/v1/chat/completions?api-version=2024-02-01"
+    assert backend.url == f"{server.url}/v1/chat/completions?api-version=2024-02-01"
+
+
 def test_live_backend_no_auth_header_without_key():
     with StubServer() as server:
         LiveBackend(server.url).complete(_transcript(), GenerationParams())
@@ -627,7 +638,8 @@ def test_live_backend_malformed_body_fails_immediately(body):
     assert len(server.requests) == 1
 
 
-def test_live_backend_connection_error_retries_then_fails():
+def test_live_backend_connection_error_retries_then_fails(monkeypatch):
+    monkeypatch.setattr(gateway, "_MAX_ATTEMPTS", 3)
     # allocate a port and close it so connections are refused
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -635,7 +647,7 @@ def test_live_backend_connection_error_retries_then_fails():
     probe.close()
 
     sleeps = []
-    backend = LiveBackend(f"http://127.0.0.1:{port}", max_attempts=3, sleep=sleeps.append)
+    backend = LiveBackend(f"http://127.0.0.1:{port}", sleep=sleeps.append)
     with pytest.raises(BackendError, match="network error"):
         backend.complete(_transcript(), GenerationParams())
     assert len(sleeps) == 2
@@ -696,11 +708,12 @@ def test_live_backend_redials_a_connection_the_server_closed():
     assert len(server.requests) == 3
 
 
-def test_live_backend_timeout_is_a_retried_network_error():
+def test_live_backend_timeout_is_a_retried_network_error(monkeypatch):
+    monkeypatch.setattr(gateway, "_MAX_ATTEMPTS", 2)
     sleeps = []
     with socket.create_server(("127.0.0.1", 0)) as silent:  # accepts, never answers
         port = silent.getsockname()[1]
-        backend = LiveBackend(f"http://127.0.0.1:{port}", timeout=0.2, max_attempts=2, sleep=sleeps.append)
+        backend = LiveBackend(f"http://127.0.0.1:{port}", timeout=0.2, sleep=sleeps.append)
         with pytest.raises(BackendError, match="network error"):
             backend.complete(_transcript(), GenerationParams())
     assert len(sleeps) == 1
@@ -755,6 +768,5 @@ def test_backend_from_spec_live_reads_environment(monkeypatch):
     assert backend.url == "http://example.test/v1/chat/completions"
     assert backend._headers["Authorization"] == "Bearer sk-env"
 
-    explicit = backend_from_spec("live", base_url="http://other.test", api_key="sk-flag")
+    explicit = backend_from_spec("live", base_url="http://other.test")
     assert explicit.url == "http://other.test/chat/completions"
-    assert explicit._headers["Authorization"] == "Bearer sk-flag"
