@@ -125,13 +125,7 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> ExperimentConfig
 
 def _load_cohorts(args: argparse.Namespace) -> list:
     """The --pre/--post flags assign cohorts, overriding any cohort field."""
-    pre = load_corpus(args.pre, cohort_override="pre")
-    post = load_corpus(args.post, cohort_override="post")
-    seen = {doc.id for doc in pre}
-    clashes = sorted(seen & {doc.id for doc in post})
-    if clashes:
-        raise CorpusError(f"document ids appear in both cohorts: {clashes[:5]}")
-    return pre + post
+    return load_corpus(args.pre, cohort_override="pre") + load_corpus(args.post, cohort_override="post")
 
 
 def _cohort_specs(args: argparse.Namespace) -> dict[str, str]:
@@ -245,10 +239,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except BrokenPipeError:
+        raise  # entrypoint() exits quietly on a closed stdout
+    except (CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -228,6 +228,9 @@ class LiveBackend(Backend):
         if not base_url:
             raise ValueError("live backend requires a base URL")
         parts = urllib.parse.urlsplit(base_url)
+        if "@" in parts.netloc:
+            # Never echo the URL: its userinfo may hold a secret.
+            raise ValueError("live backend URL must not carry user:password; give the key in MSR_API_KEY")
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"live backend URL must be http(s)://host[:port][/path], got {base_url!r}")
         parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -178,20 +179,6 @@ def _word_limit(configs: Collection[ExperimentConfig]) -> int | None:
     return max(max(config.truncate_words, config.min_words + 1) for config in configs)
 
 
-def _eligible(
-    corpus: Sequence[Document], config: ExperimentConfig, limit: int | None
-) -> list[TokenizedDocument]:
-    """Tokenize every document up to ``limit`` words and drop those at or
-    below ``min_words``."""
-    tokenized = [tokenize_document(doc, limit=limit) for doc in corpus]
-    return filter_by_length(tokenized, config.min_words)
-
-
-def _cache(config: ExperimentConfig) -> GenerationCache | None:
-    """The run's completion cache: one per ``config.cache_path``, none without."""
-    return GenerationCache(config.cache_path) if config.cache_path is not None else None
-
-
 def _score_cohort(
     segmented: Sequence[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]],
     config: ExperimentConfig,
@@ -297,6 +284,28 @@ def _audit(
     )
 
 
+def _run(
+    corpus: Sequence[Document],
+    configs: Sequence[ExperimentConfig],
+    backends: Backend | Mapping[str, Backend | str] | None,
+) -> list[AuditReport]:
+    """Audit ``corpus`` once per config, in order, after one shared set-up.
+
+    Repeated document ids fail before any backend is built or document
+    tokenized. The configs differ only in a swept field, so the first one's
+    backend, ``min_words`` and ``cache_path`` (if set) serve them all.
+    """
+    repeated = sorted(doc_id for doc_id, count in Counter(doc.id for doc in corpus).items() if count > 1)
+    if repeated:
+        raise CorpusError(f"document ids must be unique across both cohorts; repeated: {repeated[:5]}")
+    first = configs[0]
+    with _cohort_backends(first, backends) as backend_map:
+        limit = _word_limit(configs)
+        eligible = filter_by_length([tokenize_document(doc, limit=limit) for doc in corpus], first.min_words)
+        cache = GenerationCache(first.cache_path) if first.cache_path is not None else None
+        return [_audit(eligible, config, backend_map, cache) for config in configs]
+
+
 def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
@@ -307,9 +316,7 @@ def run_audit(
     Per-document failures (too short to segment, generation errors) are
     counted and skipped; an entire cohort coming up empty is an error.
     """
-    with _cohort_backends(config, backends) as backend_map:
-        eligible = _eligible(corpus, config, _word_limit([config]))
-        return _audit(eligible, config, backend_map, _cache(config))
+    return _run(corpus, [config], backends)[0]
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
@@ -339,11 +346,8 @@ def sweep(
     if len(set(values)) != len(values):
         raise ValueError(f"{dimension} sweep values must be distinct, got {values}")
     # replace() checks each value's config, so a bad value raises here.
-    configs = {value: replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values}
-    with _cohort_backends(config, backends) as backend_map:
-        eligible = _eligible(corpus, config, _word_limit(configs.values()))
-        cache = _cache(config)
-        return {value: _audit(eligible, configs[value], backend_map, cache) for value in values}
+    configs = [replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values]
+    return dict(zip(values, _run(corpus, configs, backends)))
 
 
 def sweep_length(

@@ -225,6 +225,38 @@ def test_run_audit_empty_cohort_after_filter_is_data_error(small_config):
         run_audit(corpus, replace(small_config, min_words=500), backends=SPLIT)
 
 
+RUNS = {
+    "run_audit": lambda corpus, config, backends: run_audit(corpus, config, backends),
+    "sweep": lambda corpus, config, backends: sweep(corpus, config, "shots", [2, 4], backends),
+    "sweep_length": lambda corpus, config, backends: sweep_length(corpus, config, [60, 90], backends),
+}
+
+
+@pytest.mark.parametrize("run", list(RUNS))
+@pytest.mark.parametrize("repeat_in", ["post", "pre"])
+def test_repeated_document_id_fails_before_any_backend_or_tokenization(
+    small_corpus, small_config, monkeypatch, run, repeat_in
+):
+    # The repeat of pre-0 lands in the other cohort, or in its own one.
+    corpus = [*small_corpus, Document(id="pre-0", cohort=repeat_in, text=synthetic_text("r", 120))]
+    built, tokenized = [], []
+    monkeypatch.setattr(runner, "backend_from_spec", lambda spec, base_url=None: built.append(spec))
+    monkeypatch.setattr(runner, "tokenize_document", lambda doc, limit=None: tokenized.append(doc))
+    counting = CountingBackend(VerbatimBackend())
+    for backends in (None, counting):
+        with pytest.raises(CorpusError, match=r"both cohorts; repeated: \['pre-0'\]"):
+            RUNS[run](corpus, small_config, backends)
+    assert built == [] and tokenized == [] and counting.calls == 0
+
+
+def test_repeated_document_id_error_names_at_most_five(small_config):
+    pre = make_corpus(n_pre=7, n_post=0)
+    corpus = pre + [replace(doc, cohort="post") for doc in pre]
+    with pytest.raises(CorpusError) as info:
+        run_audit(corpus, small_config)
+    assert str(info.value).endswith("repeated: ['pre-0', 'pre-1', 'pre-2', 'pre-3', 'pre-4']")
+
+
 def test_run_audit_all_generations_failing_is_backend_error(small_corpus, small_config):
     backends = {
         "pre": FailingBackend(VerbatimBackend(), marker="w"),  # every pre reference
