@@ -232,7 +232,8 @@ class LiveBackend(Backend):
             # Never echo the URL: its userinfo may hold a secret.
             raise ValueError("live backend URL must not carry user:password; give the key in MSR_API_KEY")
         if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"live backend URL must be http(s)://host[:port][/path], got {base_url!r}")
+            # Without a //host part the userinfo lands in the path; echo neither.
+            raise ValueError("live backend URL must be http(s)://host[:port][/path]")
         parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions")
         self.url = urllib.parse.urlunsplit(parts)
         self._path = parts.path + (f"?{parts.query}" if parts.query else "")

@@ -184,22 +184,21 @@ def _score_cohort(
     config: ExperimentConfig,
     backend: Backend,
     cache: GenerationCache | None,
-) -> list[DocumentMatchSummary | None]:
+) -> list[DocumentMatchSummary]:
     """Build one cohort's transcripts, complete them in one batch and score
-    each record; None for a document whose generation failed. The
-    transcripts and records are released on return, so an audit holds one
-    cohort's at a time."""
+    each record; a document whose generation failed is logged and left out.
+    The transcripts and records are released on return, so an audit holds
+    one cohort's at a time."""
     transcripts = [
         build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented
     ]
     records = generate_batch(
         backend, transcripts, config.params, max_in_flight=config.max_in_flight, cache=cache
     )
-    summaries: list[DocumentMatchSummary | None] = []
+    summaries: list[DocumentMatchSummary] = []
     for (doc, _), transcript, record in zip(segmented, transcripts, records):
         if record.error is not None:
             logger.warning("generation failed for document %r: %s", doc.id, record.error)
-            summaries.append(None)
             continue
         if not record.output_text:
             logger.warning("empty completion for document %r; will count as zero-match", doc.id)
@@ -230,57 +229,53 @@ def _audit(
     backend_map: Mapping[str, Backend],
     cache: GenerationCache | None,
 ) -> AuditReport:
-    """Truncate and segment already-tokenized documents, then per cohort
-    build transcripts, generate and score, and compare the cohorts."""
-    if config.truncate_words is not None:
-        eligible = [truncate(doc, config.truncate_words) for doc in eligible]
-
+    """Truncate and segment already-tokenized documents into their cohorts,
+    then per cohort generate and score, and compare the cohorts."""
     # Segment every document before any request, so a cohort that
     # segmentation empties sends none.
-    segmented: list[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]] = []
+    cohorts: dict[str, list[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]]] = {
+        cohort: [] for cohort in COHORTS
+    }
     for doc in eligible:
+        if config.truncate_words is not None:
+            doc = truncate(doc, config.truncate_words)
         try:
-            segmented.append((doc, segment(doc, config.shots)))
+            cohorts[doc.cohort].append((doc, segment(doc, config.shots)))
         except ValueError as exc:
             logger.warning("skipping document %r: %s", doc.id, exc)
 
-    for cohort in COHORTS:
-        if not any(doc.cohort == cohort for doc, _ in segmented):
+    for cohort, segmented in cohorts.items():
+        if not segmented:
             raise CorpusError(f"cohort {cohort!r} is empty after filtering")
 
-    # Each summary goes to its document's corpus-order slot.
-    scored: list[DocumentMatchSummary | None] = [None] * len(segmented)
-    for cohort in COHORTS:
-        slots = [i for i, (doc, _) in enumerate(segmented) if doc.cohort == cohort]
-        summaries = _score_cohort(
-            [segmented[i] for i in slots], config, backend_map[cohort], cache
-        )
-        if all(summary is None for summary in summaries):
+    # Ids are unique (_run rejects repeats), so they restore corpus order.
+    scored: dict[str, DocumentMatchSummary] = {}
+    totals: dict[str, FrequencyArray] = {}
+    sizes: dict[str, int] = {}
+    for cohort, segmented in cohorts.items():
+        summaries = _score_cohort(segmented, config, backend_map[cohort], cache)
+        if not summaries:
             # Documents were segmented but every generation failed, so this
             # is the backend's fault rather than the corpus's.
-            raise BackendError(f"empty cohort results for {cohort!r}: all {len(slots)} generations failed")
-        for i, summary in zip(slots, summaries):
-            scored[i] = summary
+            raise BackendError(f"empty cohort results for {cohort!r}: all {len(segmented)} generations failed")
+        totals[cohort] = sum_arrays([summary.counts for summary in summaries])
+        sizes[cohort] = len(summaries)
+        scored.update((summary.doc_id, summary) for summary in summaries)
 
-    documents = tuple(summary for summary in scored if summary is not None)
-    f_pre, f_post = (
-        sum_arrays([summary.counts for summary in documents if summary.cohort == cohort])
-        for cohort in COHORTS
-    )
-    n_docs_pre = sum(summary.cohort == "pre" for summary in documents)
+    documents = tuple(scored[doc.id] for doc in eligible if doc.id in scored)
     return AuditReport(
         config=config,
         backends={cohort: backend_map[cohort].name for cohort in COHORTS},
         created_at=_utcnow(),
-        f_pre=f_pre,
-        f_post=f_post,
-        comparison=compare_cohorts(f_pre, f_post),
+        f_pre=totals["pre"],
+        f_post=totals["post"],
+        comparison=compare_cohorts(totals["pre"], totals["post"]),
         documents=documents,
         # Every eligible document is either scored or failed (segmentation
         # or generation).
         failures=len(eligible) - len(documents),
-        n_docs_pre=n_docs_pre,
-        n_docs_post=len(documents) - n_docs_pre,
+        n_docs_pre=sizes["pre"],
+        n_docs_post=sizes["post"],
     )
 
 

@@ -184,6 +184,13 @@ def test_audit_live_url_with_userinfo_exit_1_without_the_secret(corpus_files, tm
     assert "sk-x" not in capsys.readouterr().err
 
 
+def test_audit_live_url_without_authority_exit_1_without_the_secret(corpus_files, tmp_path, capsys):
+    pre, post = corpus_files
+    url = "http:/u:sk-x@h/v1"
+    assert main(_audit_args(pre, post, tmp_path / "r", "--backend", "live", "--base-url", url)) == 1
+    assert "sk-x" not in capsys.readouterr().err
+
+
 def test_audit_live_without_url_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     assert main(_audit_args(pre, post, tmp_path / "r", "--backend", "live")) == 1

@@ -683,6 +683,16 @@ def test_live_backend_rejects_userinfo_without_echoing_it(url):
     assert "sk-secret" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "url",
+    ["http:/user:sk-secret@host/v1", "http:user:sk-secret@host/v1", "https:///user:sk-secret@h", "ftp:/u:sk-secret@h"],
+)
+def test_live_backend_rejects_url_without_authority_without_echoing_it(url):
+    with pytest.raises(ValueError) as info:
+        LiveBackend(url)
+    assert "sk-secret" not in str(info.value)
+
+
 def test_live_backend_reuses_keep_alive_connections():
     transcripts = [_transcript(tag=f"t{i}") for i in range(20)]
     with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:

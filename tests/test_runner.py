@@ -28,7 +28,7 @@ from msr_audit.gateway import (
     _SYLLABLES,
     request_key,
 )
-from msr_audit.matching import FrequencyArray
+from msr_audit.matching import FrequencyArray, sum_arrays
 from msr_audit.runner import (
     AuditReport,
     ExperimentConfig,
@@ -209,6 +209,26 @@ def test_run_audit_interleaved_corpus_keeps_corpus_order(small_corpus, small_con
     assert mixed.comparison == grouped.comparison
 
 
+def test_run_audit_keeps_corpus_order_across_skips_and_failures(small_config):
+    corpus = make_corpus(words=120)
+    pre = [d for d in corpus if d.cohort == "pre"]
+    post = [d for d in corpus if d.cohort == "post"]
+    interleaved = [doc for pair in zip(post, pre) for doc in pair]  # post-0, pre-0, post-1, ...
+    interleaved.insert(3, Document(id="short-post", cohort="post", text=synthetic_text("sp", 55)))
+    backends = {
+        "pre": FailingBackend(PartialCopyBackend(0.5), marker="p1w"),
+        "post": FailingBackend(PartialCopyBackend(0.2), marker="q2w"),
+    }
+    config = replace(small_config, shots=60)  # 55 words pass the filter but can't fill 60 segments
+    report = run_audit(interleaved, config, backends=backends)
+    lost = {"short-post", "pre-1", "post-2"}
+    assert [d.doc_id for d in report.documents] == [d.id for d in interleaved if d.id not in lost]
+    assert report.failures == 3
+    assert (report.n_docs_pre, report.n_docs_post) == (2, 2)
+    for cohort, total in (("pre", report.f_pre), ("post", report.f_post)):
+        assert total == sum_arrays([d.counts for d in report.documents if d.cohort == cohort])
+
+
 def test_run_audit_cohort_emptied_by_segmentation_sends_no_request(small_config):
     corpus = make_corpus(n_pre=0, n_post=3, words=120) + [
         Document(id="short-pre", cohort="pre", text=synthetic_text("sp", 55)),
@@ -264,6 +284,16 @@ def test_run_audit_all_generations_failing_is_backend_error(small_corpus, small_
     }
     with pytest.raises(BackendError, match="empty cohort results"):
         run_audit(small_corpus, small_config, backends=backends)
+
+
+def test_run_audit_failed_cohort_sends_no_later_cohort(small_corpus, small_config):
+    backends = {
+        "pre": FailingBackend(VerbatimBackend(), marker="w"),  # every pre reference
+        "post": CountingBackend(ObliviousBackend()),
+    }
+    with pytest.raises(BackendError, match="empty cohort results"):
+        run_audit(small_corpus, small_config, backends=backends)
+    assert backends["post"].calls == 0
 
 
 def test_run_audit_rejects_incomplete_backend_mapping(small_corpus, small_config):
