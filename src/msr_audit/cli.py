@@ -194,8 +194,6 @@ def _read_text(path: str) -> str:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    if args.lmin < 1 or args.lmax < args.lmin:
-        raise ValueError(f"need 1 <= lmin <= lmax, got lmin={args.lmin} lmax={args.lmax}")
     ref_text = _read_text(args.reference)
     gen_text = _read_text(args.generated)
     if args.lowercase:

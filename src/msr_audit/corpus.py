@@ -110,21 +110,22 @@ def tokenize_document(doc: Document, limit: int | None = None) -> TokenizedDocum
     return TokenizedDocument(id=doc.id, cohort=doc.cohort, text=doc.text, tokens=tokenize(doc.text, limit))
 
 
-def _parse_record(raw: dict, lineno: int, cohort_override: str | None) -> Document:
+def _parse_record(line: str, cohort_override: str | None) -> Document:
+    try:
+        raw = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise CorpusError(f"line {lineno}: expected a JSON object")
+        raise CorpusError("expected a JSON object")
     for field in ("id", "text"):
         if field not in raw:
-            raise CorpusError(f"line {lineno}: missing required field {field!r}")
+            raise CorpusError(f"missing required field {field!r}")
         if not isinstance(raw[field], str):
-            raise CorpusError(f"line {lineno}: field {field!r} must be a string")
+            raise CorpusError(f"field {field!r} must be a string")
     if cohort_override is None and "cohort" not in raw:
-        raise CorpusError(f"line {lineno}: missing required field 'cohort'")
+        raise CorpusError("missing required field 'cohort'")
     cohort = cohort_override if cohort_override is not None else raw["cohort"]
-    try:
-        return Document(id=raw["id"], cohort=cohort, text=raw["text"])
-    except CorpusError as exc:
-        raise CorpusError(f"line {lineno}: {exc}") from exc
+    return Document(id=raw["id"], cohort=cohort, text=raw["text"])
 
 
 def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Document]:
@@ -152,15 +153,11 @@ def load_corpus(path: str | Path, cohort_override: str | None = None) -> list[Do
                 if not line.strip():
                     continue
                 try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-                try:
-                    doc = _parse_record(raw, lineno, cohort_override)
+                    doc = _parse_record(line, cohort_override)
+                    if doc.id in seen:
+                        raise CorpusError(f"duplicate document id {doc.id!r}")
                 except CorpusError as exc:
-                    raise CorpusError(f"{path}: {exc}") from exc
-                if doc.id in seen:
-                    raise CorpusError(f"{path}: line {lineno}: duplicate document id {doc.id!r}")
+                    raise CorpusError(f"{path}: line {lineno}: {exc}") from exc
                 seen.add(doc.id)
                 docs.append(doc)
     except (OSError, UnicodeDecodeError) as exc:

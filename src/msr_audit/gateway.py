@@ -225,15 +225,17 @@ class LiveBackend(Backend):
         backoff_base: float = 1.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if not base_url:
-            raise ValueError("live backend requires a base URL")
-        parts = urllib.parse.urlsplit(base_url)
+        parts = urllib.parse.urlsplit(base_url or "")
         if "@" in parts.netloc:
             # Never echo the URL: its userinfo may hold a secret.
             raise ValueError("live backend URL must not carry user:password; give the key in MSR_API_KEY")
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            # Without a //host part the userinfo lands in the path; echo neither.
-            raise ValueError("live backend URL must be http(s)://host[:port][/path]")
+        try:
+            port = parts.port  # raises unless a number in 0-65535 or absent
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ValueError
+        except ValueError:
+            # Userinfo without //host lands in the path, a secret may fill the port: echo neither.
+            raise ValueError("live backend URL must be http(s)://host[:port][/path]") from None
         parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions")
         self.url = urllib.parse.urlunsplit(parts)
         self._path = parts.path + (f"?{parts.query}" if parts.query else "")
@@ -241,12 +243,12 @@ class LiveBackend(Backend):
             self._dial = functools.partial(
                 http.client.HTTPSConnection,
                 parts.hostname,
-                parts.port or 443,
+                port,
                 timeout=timeout,
                 context=ssl.create_default_context(),
             )
         else:
-            self._dial = functools.partial(http.client.HTTPConnection, parts.hostname, parts.port or 80, timeout=timeout)
+            self._dial = functools.partial(http.client.HTTPConnection, parts.hostname, port, timeout=timeout)
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
@@ -365,6 +367,10 @@ def backend_from_spec(spec: str, base_url: str | None = None) -> Backend:
     raise ValueError(f"unknown backend {spec!r}; expected live, verbatim, oblivious, or partial:P")
 
 
+def utc_timestamp() -> str:
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 class GenerationCache:
     """First-write-wins map from request key to completion text, persisted
     as JSON lines.
@@ -423,13 +429,10 @@ class GenerationCache:
                 "temperature": params.temperature,
                 "max_tokens": params.max_tokens,
                 "seed": params.seed,
-                "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "created_at": utc_timestamp(),
             }
-            try:
-                line = json.dumps(record, ensure_ascii=False).encode("utf-8")
-            except UnicodeEncodeError:
-                # A lone surrogate has no UTF-8 form; \u escapes round-trip any str.
-                line = json.dumps(record).encode("ascii")
+            # A lone surrogate has no UTF-8 form: write it as the JSON escape \udXXX.
+            line = json.dumps(record, ensure_ascii=False).encode("utf-8", "backslashreplace")
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a+b") as handle:
                 # After an interrupted write the file ends mid-line; start a

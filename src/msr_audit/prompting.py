@@ -63,13 +63,8 @@ def segment(doc: TokenizedDocument, n: int) -> tuple[tuple[int, int], ...]:
     if m < n:
         raise ValueError(f"document {doc.id!r} has {m} tokens, fewer than {n} segments")
     base, extra = divmod(m, n)
-    bounds = []
-    start = 0
-    for i in range(n):
-        size = base + 1 if i < extra else base
-        bounds.append((start, start + size))
-        start += size
-    return tuple(bounds)
+    edges = [i * base + min(i, extra) for i in range(n + 1)]
+    return tuple(zip(edges, edges[1:]))
 
 
 def render_segment(doc: TokenizedDocument, token_range: tuple[int, int]) -> str:
@@ -96,9 +91,8 @@ def build_transcript(
     ones assistant turns, except the last segment, which is held out as the
     reference the backend is asked to produce.
     """
-    if not bounds or bounds[0][0] != 0 or bounds[-1][1] != len(doc.tokens):
-        raise ValueError("segmentation does not cover the document")
-    if any(a[1] != b[0] for a, b in zip(bounds, bounds[1:])):
+    ends = [end for _, end in bounds]
+    if [start for start, _ in bounds] != [0] + ends[:-1] or ends[-1:] != [len(doc.tokens)]:
         raise ValueError("segmentation does not cover the document")
 
     turns = tuple(

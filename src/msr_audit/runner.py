@@ -13,7 +13,6 @@ import logging
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -33,6 +32,7 @@ from msr_audit.gateway import (
     GenerationParams,
     backend_from_spec,
     generate_batch,
+    utc_timestamp,
 )
 from msr_audit.matching import (
     FrequencyArray,
@@ -141,10 +141,6 @@ class AuditReport:
     failures: int
     n_docs_pre: int
     n_docs_post: int
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @contextmanager
@@ -266,7 +262,7 @@ def _audit(
     return AuditReport(
         config=config,
         backends={cohort: backend_map[cohort].name for cohort in COHORTS},
-        created_at=_utcnow(),
+        created_at=utc_timestamp(),
         f_pre=totals["pre"],
         f_post=totals["post"],
         comparison=compare_cohorts(totals["pre"], totals["post"]),

@@ -33,32 +33,39 @@ class CohortComparison:
     n_second: int
 
 
+def _rank(x: Sample, y: Sample, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per distinct pooled value, ascending: its mid-rank, its count in ``x``
+    and its count in both samples (ties). NaN has no rank: values must be finite.
+    """
+    if len(x) == 0 or len(y) == 0:
+        raise ValueError(f"{name} requires two non-empty samples")
+    pooled = np.concatenate((np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    if not np.isfinite(pooled).all():
+        raise ValueError(f"{name} requires finite values")
+    _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
+    in_x = np.bincount(inverse[: len(x)], minlength=len(ties))
+    # Mid-ranks are half-integers, so sums of them are exact in any order.
+    return np.cumsum(ties) - (ties - 1) / 2.0, in_x, ties
+
+
 def cliffs_delta(x: Sample, y: Sample) -> float:
     """Rank effect size in [-1, 1]: P(x > y) - P(x < y) over all pairs.
 
-    Ties contribute zero. Positive values mean x tends to be larger. The
-    pairs are counted as integers by binary search in sorted ``y``, so the
-    result is the exact count difference divided once by len(x) * len(y).
+    Ties contribute zero. Positive values mean x tends to be larger. With R
+    the sum of x's mid-ranks, 2R - n(n + 1) - nm is the exact integer count
+    of wins minus losses, divided once by nm.
     """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("cliffs_delta requires two non-empty samples")
-    ys = np.sort(np.asarray(y))
-    greater = int(np.searchsorted(ys, x, "left").sum())
-    less = len(x) * len(ys) - int(np.searchsorted(ys, x, "right").sum())
-    return (greater - less) / (len(x) * len(ys))
+    ranks, in_x, _ = _rank(x, y, "cliffs_delta")
+    n, m = len(x), len(y)
+    return (2.0 * float(ranks @ in_x) - n * (n + 1) - n * m) / (n * m)
 
 
 def ks_distance(x: Sample, y: Sample) -> float:
     """Two-sample Kolmogorov-Smirnov distance: sup |ECDF_x(t) - ECDF_y(t)|."""
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("ks_distance requires two non-empty samples")
-    xs, ys = np.sort(np.asarray(x)), np.sort(np.asarray(y))
+    _, in_x, ties = _rank(x, y, "ks_distance")
     # Both step functions jump only at sample values, so the sup is reached
     # at one of them.
-    points = np.concatenate((xs, ys))
-    gaps = np.abs(
-        np.searchsorted(xs, points, "right") / len(xs) - np.searchsorted(ys, points, "right") / len(ys)
-    )
+    gaps = np.abs(np.cumsum(in_x) / len(x) - np.cumsum(ties - in_x) / len(y))
     return float(gaps.max())
 
 
@@ -69,30 +76,21 @@ def kruskal_wallis(x: Sample, y: Sample) -> tuple[float, float]:
     1 - sum(t^3 - t) / (N^3 - N). When every pooled value is identical the
     statistic is defined as H = 0 with p = 1. Returns (H, p) where the p-value
     is the upper chi-squared tail with one degree of freedom, erfc(sqrt(H/2)).
-    Values must be finite: NaN has no rank.
     """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("kruskal_wallis requires two non-empty samples")
+    ranks, in_x, ties = _rank(x, y, "kruskal_wallis")
     total = len(x) + len(y)
     if total < 3:
         raise ValueError(f"kruskal_wallis requires at least 3 values in total, got {total}")
-    pooled = np.concatenate((np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
-    if not np.isfinite(pooled).all():
-        raise ValueError("kruskal_wallis requires finite values")
-
-    _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
     if len(ties) == 1:  # every value identical
         return 0.0, 1.0
     # float64, not int64: exact while N^3 < 2^53, and t^3 cannot wrap beyond.
     tie_sum = float((ties.astype(np.float64) ** 3 - ties).sum())
     correction = 1.0 - tie_sum / (total**3 - total)
-    # Mid-ranks are half-integers, so the rank sums are exact in any order.
-    ranks = (np.cumsum(ties) - (ties - 1) / 2.0)[inverse]
-    sum_x, sum_y = float(ranks[: len(x)].sum()), float(ranks[len(x) :].sum())
+    sum_x = float(ranks @ in_x)
+    sum_y = total * (total + 1) / 2.0 - sum_x
     grand_mean = (total + 1) / 2.0
     spread = len(x) * (sum_x / len(x) - grand_mean) ** 2 + len(y) * (sum_y / len(y) - grand_mean) ** 2
-    h = 12.0 / (total * (total + 1)) * spread
-    h /= correction
+    h = 12.0 / (total * (total + 1)) * spread / correction
     return h, math.erfc(math.sqrt(h / 2.0))
 
 

@@ -191,6 +191,13 @@ def test_audit_live_url_without_authority_exit_1_without_the_secret(corpus_files
     assert "sk-x" not in capsys.readouterr().err
 
 
+def test_audit_live_url_with_a_secret_for_port_exit_1_without_it(corpus_files, tmp_path, capsys):
+    pre, post = corpus_files
+    url = "http://h:sk-x/v1"
+    assert main(_audit_args(pre, post, tmp_path / "r", "--backend", "live", "--base-url", url)) == 1
+    assert "sk-x" not in capsys.readouterr().err
+
+
 def test_audit_live_without_url_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     assert main(_audit_args(pre, post, tmp_path / "r", "--backend", "live")) == 1
@@ -330,6 +337,20 @@ def test_sweep_length_bad_value_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     code = main(["sweep", "length", "--values", "60,5"] + _audit_args(pre, post, tmp_path / "s")[1:])
     assert code == 1
+
+
+def test_sweep_without_values_exit_1(corpus_files, tmp_path, capsys):
+    pre, post = corpus_files
+    assert main(["sweep", "shots", "--values", ","] + _audit_args(pre, post, tmp_path / "s")[1:]) == 1
+    assert "no sweep values given" in capsys.readouterr().err
+
+
+def test_sweep_skips_empty_values(corpus_files, tmp_path, capsys):
+    pre, post = corpus_files
+    out = tmp_path / "s"
+    assert main(["sweep", "shots", "--values", "4,,6"] + _audit_args(pre, post, out)[1:]) == 0
+    assert [json.loads(line)["value"] for line in capsys.readouterr().out.splitlines()] == [4, 6]
+    assert sorted(p.name for p in out.iterdir()) == ["shots_4", "shots_6"]
 
 
 def test_sweep_overrides_the_swept_flag(corpus_files, tmp_path):
@@ -476,6 +497,17 @@ def test_match_bad_bounds_exit_1(tmp_path):
     f = tmp_path / "a.txt"
     f.write_text("x", encoding="utf-8")
     assert main(["match", str(f), str(f), "--lmin", "9", "--lmax", "3"]) == 1
+
+
+def test_match_lowercase_folds_case(tmp_path, capsys):
+    ref, gen = tmp_path / "ref.txt", tmp_path / "gen.txt"
+    ref.write_text("The Cat sat", encoding="utf-8")
+    gen.write_text("the cat SAT", encoding="utf-8")
+    argv = ["match", str(ref), str(gen), "--lmin", "1", "--lmax", "3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("longest=0 matches=0\n")
+    assert main([*argv, "--lowercase"]) == 0
+    assert capsys.readouterr().out.startswith("longest=3 matches=1\nlength,pos_ref,pos_gen\n3,0,0\n")
 
 
 def test_match_accepts_a_single_threshold(tmp_path, capsys):

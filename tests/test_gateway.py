@@ -281,6 +281,16 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert sum("corrupt cache line" in r.message for r in caplog.records) == 2
 
 
+def test_cache_loads_around_blank_lines_without_a_warning(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    lines = [json.dumps({"key": "k1", "output": "one"}), "", "  \t", json.dumps({"key": "k2", "output": "two"}), ""]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        cache = GenerationCache(path)
+    assert (cache.lookup("k1"), cache.lookup("k2")) == ("one", "two")
+    assert not caplog.records
+
+
 def test_cache_skips_line_torn_inside_a_character(tmp_path, caplog):
     # An interrupted append can stop inside a multi-byte UTF-8 character.
     path = tmp_path / "cache.jsonl"
@@ -691,6 +701,13 @@ def test_live_backend_rejects_url_without_authority_without_echoing_it(url):
     with pytest.raises(ValueError) as info:
         LiveBackend(url)
     assert "sk-secret" not in str(info.value)
+
+
+@pytest.mark.parametrize("url", ["http://host:sk-secret/v1", "https://host:sk-secret", "http://h:99999/v1"])
+def test_live_backend_rejects_bad_port_without_echoing_it(url):
+    with pytest.raises(ValueError, match=r"must be http\(s\)://host\[:port\]") as info:
+        LiveBackend(url)
+    assert "sk-secret" not in str(info.value) and "99999" not in str(info.value)
 
 
 def test_live_backend_reuses_keep_alive_connections():

@@ -332,6 +332,11 @@ def test_frequency_array_dataclass_validation():
         FrequencyArray(l_min=0, l_max=3, counts=(0, 0, 0, 0))
 
 
+def test_frequency_array_rejects_reversed_bounds():
+    with pytest.raises(ValueError, match="must be <="):
+        FrequencyArray(l_min=5, l_max=3, counts=())
+
+
 def test_sum_arrays():
     a = FrequencyArray(5, 7, (3, 2, 1))
     b = FrequencyArray(5, 7, (1, 1, 0))

@@ -176,6 +176,15 @@ def test_kruskal_wallis_rejects_non_finite(bad):
         kruskal_wallis([bad, 1.0], [2.0, 3.0])
 
 
+@pytest.mark.parametrize("statistic", [cliffs_delta, ks_distance])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("in_x", [True, False], ids=["x", "y"])
+def test_delta_and_ks_reject_non_finite(statistic, bad, in_x):
+    x, y = ([bad, 1.0], [2.0, 3.0]) if in_x else ([2.0, 3.0], [1.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        statistic(x, y)
+
+
 @given(
     st.lists(st.integers(0, 8), min_size=2, max_size=12),
     st.lists(st.integers(0, 8), min_size=2, max_size=12),
