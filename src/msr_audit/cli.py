@@ -92,9 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="re-run the audit across one parameter")
     p_sweep.add_argument("dimension", choices=list(SWEEP_FIELDS))
-    p_sweep.add_argument(
-        "--values", required=True, nargs="+", help="comma- or space-separated values to sweep"
-    )
+    p_sweep.add_argument("--values", required=True, nargs="+", help="comma- or space-separated values to sweep")
     _add_run_options(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -194,6 +192,7 @@ def _read_text(path: str) -> str:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    frequency_array((), args.lmin, args.lmax)  # reject bad thresholds before reading the files
     ref_text = _read_text(args.reference)
     gen_text = _read_text(args.generated)
     if args.lowercase:

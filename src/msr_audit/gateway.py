@@ -243,12 +243,12 @@ class LiveBackend(Backend):
             self._dial = functools.partial(
                 http.client.HTTPSConnection,
                 parts.hostname,
-                port,
+                port or 443,
                 timeout=timeout,
                 context=ssl.create_default_context(),
             )
         else:
-            self._dial = functools.partial(http.client.HTTPConnection, parts.hostname, port, timeout=timeout)
+            self._dial = functools.partial(http.client.HTTPConnection, parts.hostname, port or 80, timeout=timeout)
         self._headers = {"Content-Type": "application/json"}
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"

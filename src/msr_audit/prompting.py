@@ -91,8 +91,8 @@ def build_transcript(
     ones assistant turns, except the last segment, which is held out as the
     reference the backend is asked to produce.
     """
-    ends = [end for _, end in bounds]
-    if [start for start, _ in bounds] != [0] + ends[:-1] or ends[-1:] != [len(doc.tokens)]:
+    chained = all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    if not bounds or bounds[0][0] != 0 or bounds[-1][1] != len(doc.tokens) or not chained:
         raise ValueError("segmentation does not cover the document")
 
     turns = tuple(

@@ -499,6 +499,12 @@ def test_match_bad_bounds_exit_1(tmp_path):
     assert main(["match", str(f), str(f), "--lmin", "9", "--lmax", "3"]) == 1
 
 
+def test_match_bad_bounds_exit_1_before_reading_the_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert main(["match", missing, missing, "--lmin", "9", "--lmax", "3"]) == 1
+    assert "missing.txt" not in capsys.readouterr().err
+
+
 def test_match_lowercase_folds_case(tmp_path, capsys):
     ref, gen = tmp_path / "ref.txt", tmp_path / "gen.txt"
     ref.write_text("The Cat sat", encoding="utf-8")

@@ -710,6 +710,23 @@ def test_live_backend_rejects_bad_port_without_echoing_it(url):
     assert "sk-secret" not in str(info.value) and "99999" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    ("url", "host", "port"),
+    [
+        ("http://[::1]/v1", "::1", 80),
+        ("https://[::1]/v1", "::1", 443),
+        ("https://[2001:db8::10]/v1", "2001:db8::10", 443),
+        ("http://[::1]:8080/v1", "::1", 8080),
+        ("http://h:0/v1", "h", 80),
+        ("https://h/v1", "h", 443),
+    ],
+)
+def test_live_backend_dials_the_url_host_and_port(url, host, port):
+    # Building the connection object does not connect.
+    conn = LiveBackend(url)._dial()
+    assert (conn.host, conn.port) == (host, port)
+
+
 def test_live_backend_reuses_keep_alive_connections():
     transcripts = [_transcript(tag=f"t{i}") for i in range(20)]
     with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:
