@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -827,3 +828,72 @@ def test_report_to_dict_is_json_serializable(small_corpus, small_config):
     report = run_audit(small_corpus, small_config, backends=SPLIT)
     payload = json.dumps(report_to_dict(report))
     assert "comparison" in json.loads(payload)
+
+
+# --------------------------------------------------------------- output goldens
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+GOLDEN_CONFIG = ExperimentConfig(min_words=100, shots=6, l_min=3, l_max=8, seed=3)
+
+
+class GappingBackend(Backend):
+    """When the reference holds ``marker``, returns it with every third word
+    replaced by a word it lacks, so no run is longer than two words and the
+    longest match comes from the fallback; otherwise delegates."""
+
+    def __init__(self, inner: Backend, marker: str) -> None:
+        self.inner, self.marker = inner, marker
+        self.name, self.uses_seed = inner.name, inner.uses_seed
+
+    def complete(self, transcript, params):
+        if self.marker in transcript.reference_text:
+            return " ".join("gap" if i % 3 == 2 else w for i, w in enumerate(transcript.reference_tokens))
+        return self.inner.complete(transcript, params)
+
+
+def _golden_corpus() -> list[Document]:
+    """4 + 4 documents of 300 words from 5 words in two cases, so copied
+    chunks also match elsewhere and case folding adds matches. The last word
+    of pre-3 makes its request fail; that of post-2 gets it gapped."""
+    rng = random.Random(11)
+    ends = {"pre-3": "FAILME", "post-2": "GAPME"}
+    docs = []
+    for cohort in ("pre", "post"):
+        for i in range(4):
+            doc_id = f"{cohort}-{i}"
+            words = [rng.choice("wW") + str(rng.randrange(5)) for _ in range(299)]
+            docs.append(Document(doc_id, cohort, " ".join([*words, ends.get(doc_id, "end")])))
+    return docs
+
+
+GOLDEN_BACKENDS = {
+    "pre": FailingBackend(PartialCopyBackend(0.6), marker="FAILME"),
+    "post": GappingBackend(PartialCopyBackend(0.2), marker="GAPME"),
+}
+
+
+def _emit_golden_runs(out) -> list[AuditReport]:
+    """Writes an audit (exact lengths, case folded) and a two-value length
+    sweep (whose 36-word value caps l_max at 6) under ``out``, each with a
+    fixed ``created_at``."""
+    corpus = _golden_corpus()
+    config = replace(GOLDEN_CONFIG, exact_lengths=True, lowercase=True)
+    runs = {"audit": run_audit(corpus, config, GOLDEN_BACKENDS)}
+    runs.update(
+        (f"sweep/length_{value}", report)
+        for value, report in sweep(corpus, GOLDEN_CONFIG, "length", [120, 36], GOLDEN_BACKENDS).items()
+    )
+    for name, report in runs.items():
+        emit_report(replace(report, created_at="CREATED_AT"), out / name)
+    return list(runs.values())
+
+
+def test_summary_and_frequencies_match_the_goldens_byte_for_byte(tmp_path):
+    audit, long_cut, short_cut = _emit_golden_runs(tmp_path)
+    by_id = {summary.doc_id: summary for summary in audit.documents}
+    assert "pre-3" not in by_id and audit.failures == 1
+    assert 0 < by_id["post-2"].longest_match < GOLDEN_CONFIG.l_min
+    assert (long_cut.config.resolved_l_max, short_cut.config.resolved_l_max) == (8, 6)
+    written = {path.relative_to(tmp_path): path.read_bytes() for path in sorted(tmp_path.rglob("*.*"))}
+    golden = {path.relative_to(GOLDENS): path.read_bytes() for path in sorted(GOLDENS.rglob("*.*"))}
+    assert len(written) == 6 and written == golden
