@@ -30,7 +30,6 @@ from msr_audit.gateway import (
     generate_batch,
 )
 from msr_audit.matching import (
-    FrequencyArray,
     frequency_array,
     maximal_common_substrings,
     sum_arrays,
@@ -75,7 +74,6 @@ __all__ = [
     "Document",
     "DocumentMatchSummary",
     "ExperimentConfig",
-    "FrequencyArray",
     "GeneratedCompletion",
     "GenerationCache",
     "GenerationParams",

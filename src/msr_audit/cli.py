@@ -209,8 +209,8 @@ def cmd_match(args: argparse.Namespace) -> int:
         print(f"{length},{pos_ref},{pos_gen}")
     print()
     print("k,count")
-    for offset, k in enumerate(range(counts.l_min, counts.l_max + 1)):
-        print(f"{k},{counts.counts[offset]}")
+    for k, count in zip(range(args.lmin, args.lmax + 1), counts):
+        print(f"{k},{count}")
     return EXIT_OK
 
 

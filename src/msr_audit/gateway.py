@@ -380,15 +380,19 @@ class GenerationCache:
     back: the key is the digest of the whole request, so it already names
     the backend and parameters; the other fields record provenance for
     people reading the file. A line without a string "key" and "output" is
-    skipped with a warning. One lock serializes lookups and writes.
+    skipped with a warning. One lock serializes lookups and writes. The file
+    and its directory are created, and the file opened for appending, when
+    the cache is built, so a path that cannot be written fails before the
+    first request rather than after it.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._outputs: dict[str, str] = {}
         self._lock = threading.Lock()
-        if self.path.exists():
-            self._load()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.path.open("ab").close()
+        self._load()
 
     def _load(self) -> None:
         # Binary lines: json.loads decodes each one, so a line torn inside a
@@ -433,7 +437,6 @@ class GenerationCache:
             }
             # A lone surrogate has no UTF-8 form: write it as the JSON escape \udXXX.
             line = json.dumps(record, ensure_ascii=False).encode("utf-8", "backslashreplace")
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a+b") as handle:
                 # After an interrupted write the file ends mid-line; start a
                 # new line, or this record would join the torn one.

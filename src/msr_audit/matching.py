@@ -1,11 +1,13 @@
-"""Word-level maximal common substring enumeration and threshold-counted
-frequency arrays comparing a reference segment with a generated completion.
+"""Word-level maximal common substring enumeration, and match counts per
+length threshold comparing a reference segment with a generated completion.
+
+The counts are plain tuples, one entry per threshold k in [l_min, l_max]; the
+thresholds themselves belong to the audit's config, not to the counts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -13,31 +15,6 @@ import numpy as np
 # Most equal q-gram pairs the match kernel lists at once (see _blocks); its
 # per-block arrays then stay near 19 MB.
 _BLOCK = 2**20
-
-
-@dataclass(frozen=True)
-class FrequencyArray:
-    """Match counts per length threshold k in [l_min, l_max].
-
-    Under the default threshold semantics counts[k - l_min] is the number of
-    maximal matches of length >= k, which makes the array non-increasing.
-    """
-
-    l_min: int
-    l_max: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.l_min < 1:
-            raise ValueError(f"l_min must be >= 1, got {self.l_min}")
-        if self.l_min > self.l_max:
-            raise ValueError(f"l_min ({self.l_min}) must be <= l_max ({self.l_max})")
-        if len(self.counts) != self.l_max - self.l_min + 1:
-            raise ValueError(
-                f"counts has {len(self.counts)} entries, expected {self.l_max - self.l_min + 1}"
-            )
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be non-negative")
 
 
 def _intern(ref_tokens: Sequence[str], gen_tokens: Sequence[str]) -> tuple[np.ndarray, int]:
@@ -138,10 +115,11 @@ def maximal_common_substrings(
     (``_diagonal_key``). A run of r such pairs on one diagonal is one
     maximal match of r + q - 1 words. Diagonal d's keys fill
     [d * n, (d + 1) * n) and grow by one along it, and runs on one diagonal
-    are disjoint, so once the start keys are argsorted and the end keys
-    sorted, the k-th start and the k-th end bound the same run, and their
-    keys differ by its length less q. Starts keep their (i, j) order, so the
-    result needs no final sort.
+    are disjoint, so the first end key at or after a start key ends that
+    start's run: one ``np.sort`` of the end keys and one ``np.searchsorted``
+    of the start keys pair them, and a pair's keys differ by the run's
+    length less q. Starts keep their (i, j) order, so the result needs no
+    final sort.
 
     With P equal q-gram pairs and R runs this takes O(q (n + m) log(n + m)
     + P + R log R) time and O(n + m + min(P, _BLOCK) + R) memory, held in
@@ -199,11 +177,10 @@ def maximal_common_substrings(
         end_keys.append(_diagonal_key(pair_i[is_end], pair_j[is_end], n_ref))
     start_i, start_j = np.concatenate(start_i), np.concatenate(start_j)
 
-    # In key order the k-th start and the k-th end bound the same run.
+    # The first end key at or after a start key ends that start's run.
     start_keys = _diagonal_key(start_i, start_j, n_ref)
-    by_key = np.argsort(start_keys)
-    lengths = np.empty_like(start_i)
-    lengths[by_key] = np.sort(np.concatenate(end_keys)) - start_keys[by_key] + q
+    end_keys = np.sort(np.concatenate(end_keys))
+    lengths = end_keys[np.searchsorted(end_keys, start_keys)] - start_keys + q
 
     return _matches(lengths, start_i, start_j)
 
@@ -239,14 +216,15 @@ def frequency_array(
     l_min: int,
     l_max: int,
     exact: bool = False,
-) -> FrequencyArray:
+) -> tuple[int, ...]:
     """Count match lengths per threshold k in [l_min, l_max].
 
     ``lengths`` holds one non-negative length per match, such as column 0 of
     ``maximal_common_substrings``. By default counts[k - l_min] is the number
-    of matches of length >= k. With ``exact=True`` it counts matches of
-    length exactly k instead (the resulting array is then not necessarily
-    non-increasing). Lengths below ``l_min`` are never counted.
+    of matches of length >= k, so the counts are non-increasing. With
+    ``exact=True`` it counts matches of length exactly k instead (the counts
+    are then not necessarily non-increasing). Lengths below ``l_min`` are
+    never counted.
     """
     if l_min < 1 or l_min > l_max:
         raise ValueError(f"need 1 <= l_min <= l_max, got l_min={l_min}, l_max={l_max}")
@@ -257,18 +235,15 @@ def frequency_array(
         # Clipping at l_max puts every longer match in the last bin; the
         # reversed running sum then counts the matches at or above each k.
         counts = np.bincount(np.minimum(lengths, l_max), minlength=l_max + 1)[::-1].cumsum()[::-1][l_min:]
-    return FrequencyArray(l_min=l_min, l_max=l_max, counts=tuple(counts.tolist()))
+    return tuple(counts.tolist())
 
 
-def sum_arrays(arrays: Sequence[FrequencyArray]) -> FrequencyArray:
-    """Element-wise sum of frequency arrays sharing the same thresholds."""
+def sum_arrays(arrays: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Element-wise sum of count tuples over the same thresholds, and so of
+    the same length."""
     if not arrays:
         raise ValueError("cannot sum an empty sequence of frequency arrays")
-    first = arrays[0]
-    for arr in arrays[1:]:
-        if (arr.l_min, arr.l_max) != (first.l_min, first.l_max):
-            raise ValueError(
-                f"threshold mismatch: [{arr.l_min}, {arr.l_max}] vs [{first.l_min}, {first.l_max}]"
-            )
-    counts = tuple(sum(col) for col in zip(*(arr.counts for arr in arrays)))
-    return FrequencyArray(l_min=first.l_min, l_max=first.l_max, counts=counts)
+    widths = sorted({len(arr) for arr in arrays})
+    if len(widths) > 1:
+        raise ValueError(f"frequency arrays differ in length: {widths}")
+    return tuple(map(sum, zip(*arrays)))

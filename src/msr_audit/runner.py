@@ -3,7 +3,9 @@
 Takes a two-cohort corpus through tokenization, length filtering, optional
 truncation, transcript construction, completion, matching, and the final
 cohort comparison. Also provides parameter sweeps (shot count, temperature,
-truncation length) and report emission.
+truncation length) and report emission. Match counts, per document and per
+cohort, are plain tuples with one entry per threshold k from the config's
+``l_min`` to its ``resolved_l_max``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from msr_audit.gateway import (
     utc_timestamp,
 )
 from msr_audit.matching import (
-    FrequencyArray,
     frequency_array,
     longest_match_below,
     maximal_common_substrings,
@@ -119,23 +120,25 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class DocumentMatchSummary:
-    """Matching outcome for one document."""
+    """Matching outcome for one document: ``counts`` has one entry per
+    threshold k from the config's ``l_min`` to its ``resolved_l_max``."""
 
     doc_id: str
     cohort: str
     longest_match: int
-    counts: FrequencyArray
+    counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """One audit's result. ``backends`` names the backend each cohort ran on."""
+    """One audit's result. ``backends`` names the backend each cohort ran on;
+    ``f_pre``/``f_post`` are each cohort's summed per-document counts."""
 
     config: ExperimentConfig
     backends: dict[str, str]
     created_at: str
-    f_pre: FrequencyArray
-    f_post: FrequencyArray
+    f_pre: tuple[int, ...]
+    f_post: tuple[int, ...]
     comparison: CohortComparison
     documents: tuple[DocumentMatchSummary, ...]
     failures: int
@@ -246,7 +249,7 @@ def _audit(
 
     # Ids are unique (_run rejects repeats), so they restore corpus order.
     scored: dict[str, DocumentMatchSummary] = {}
-    totals: dict[str, FrequencyArray] = {}
+    totals: dict[str, tuple[int, ...]] = {}
     sizes: dict[str, int] = {}
     for cohort, segmented in cohorts.items():
         summaries = _score_cohort(segmented, config, backend_map[cohort], cache)
@@ -351,24 +354,22 @@ def sweep_length(
     return sweep(corpus, config, "length", lengths, backends=backends)
 
 
-def _total_counts(report: AuditReport) -> tuple[int, ...]:
-    return sum_arrays([report.f_pre, report.f_post]).counts
-
-
 def low_vs_high(reports: Mapping[float, AuditReport]) -> CohortComparison | None:
-    """Contrast of a two-temperature sweep (positive delta: the cooler run
-    matches more); None unless exactly two temperatures were swept."""
+    """Contrast of a two-temperature sweep's both-cohort totals (positive
+    delta: the cooler run matches more); None unless exactly two
+    temperatures were swept."""
     if len(reports) != 2:
         return None
-    low, high = sorted(reports)
-    return compare_samples(_total_counts(reports[low]), _total_counts(reports[high]))
+    low, high = (sum_arrays([reports[t].f_pre, reports[t].f_post]) for t in sorted(reports))
+    return compare_samples(low, high)
 
 
 def report_to_dict(report: AuditReport) -> dict:
-    """JSON-ready view of a report."""
+    """JSON-ready view of a report; each cohort's counts carry the config's
+    thresholds."""
 
-    def array_dict(array: FrequencyArray) -> dict:
-        return {"l_min": array.l_min, "l_max": array.l_max, "counts": list(array.counts)}
+    def array_dict(counts: tuple[int, ...]) -> dict:
+        return {"l_min": report.config.l_min, "l_max": report.config.resolved_l_max, "counts": list(counts)}
 
     return {
         "created_at": report.created_at,
@@ -380,15 +381,7 @@ def report_to_dict(report: AuditReport) -> dict:
         "f_pre": array_dict(report.f_pre),
         "f_post": array_dict(report.f_post),
         "comparison": asdict(report.comparison),
-        "documents": [
-            {
-                "doc_id": summary.doc_id,
-                "cohort": summary.cohort,
-                "longest_match": summary.longest_match,
-                "counts": list(summary.counts.counts),
-            }
-            for summary in report.documents
-        ],
+        "documents": [asdict(summary) for summary in report.documents],
     }
 
 
@@ -410,8 +403,9 @@ def emit_report(report: AuditReport, out_dir: str | Path) -> dict[str, Path]:
     )
 
     lines = ["k,count_pre,count_post"]
-    for offset, k in enumerate(range(report.f_pre.l_min, report.f_pre.l_max + 1)):
-        lines.append(f"{k},{report.f_pre.counts[offset]},{report.f_post.counts[offset]}")
+    thresholds = range(report.config.l_min, report.config.resolved_l_max + 1)
+    for k, pre, post in zip(thresholds, report.f_pre, report.f_post, strict=True):
+        lines.append(f"{k},{pre},{post}")
     csv_path = out / "frequencies.csv"
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 

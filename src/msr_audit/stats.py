@@ -11,8 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from msr_audit.matching import FrequencyArray
-
 Sample = Sequence[float]
 
 
@@ -107,15 +105,12 @@ def compare_samples(first: Sample, second: Sample) -> CohortComparison:
     )
 
 
-def compare_cohorts(f_pre: FrequencyArray, f_post: FrequencyArray) -> CohortComparison:
-    """Compare aggregated frequency arrays of the two cohorts.
+def compare_cohorts(f_pre: Sample, f_post: Sample) -> CohortComparison:
+    """Compare the two cohorts' summed counts, one per length threshold.
 
     Delta is computed as cliffs_delta(post, pre) so higher pre-cohort counts
     yield a negative value.
     """
-    if (f_pre.l_min, f_pre.l_max) != (f_post.l_min, f_post.l_max):
-        raise ValueError(
-            f"threshold mismatch: pre [{f_pre.l_min}, {f_pre.l_max}] "
-            f"vs post [{f_post.l_min}, {f_post.l_max}]"
-        )
-    return compare_samples(f_post.counts, f_pre.counts)
+    if len(f_pre) != len(f_post):
+        raise ValueError(f"frequency arrays differ in length: pre {len(f_pre)} vs post {len(f_post)}")
+    return compare_samples(f_post, f_pre)

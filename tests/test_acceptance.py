@@ -24,7 +24,7 @@ from oracles import (
     oracle_rows,
 )
 from msr_audit.gateway import ObliviousBackend, PartialCopyBackend, VerbatimBackend
-from msr_audit.matching import FrequencyArray, maximal_common_substrings, sum_arrays
+from msr_audit.matching import maximal_common_substrings, sum_arrays
 from msr_audit.prompting import segment
 from msr_audit.runner import ExperimentConfig, emit_report, run_audit, sweep_length
 from msr_audit.stats import cliffs_delta, compare_cohorts, kruskal_wallis, ks_distance
@@ -49,8 +49,8 @@ BIG_CONFIG = ExperimentConfig(shots=6, l_min=5, l_max=12, min_words=1000)
 def test_criterion_1_complete_separation_statistics():
     ok = False
     try:
-        f_pre = FrequencyArray(5, 12, tuple(range(16, 8, -1)))  # 16..9
-        f_post = FrequencyArray(5, 12, tuple(range(8, 0, -1)))  # 8..1
+        f_pre = tuple(range(16, 8, -1))  # 16..9
+        f_post = tuple(range(8, 0, -1))  # 8..1
         result = compare_cohorts(f_pre, f_post)
 
         assert result.delta == -1.0
@@ -139,7 +139,7 @@ def test_criterion_5_graded_sensitivity_to_copy_probability():
                     corpus, replace(config, seed=seed), backends=PartialCopyBackend(p)
                 )
                 total = sum_arrays([report.f_pre, report.f_post])
-                f5_by_p.append(total.counts[0])  # threshold k = 5
+                f5_by_p.append(total[0])  # threshold k = 5
             assert f5_by_p[0] < f5_by_p[1] < f5_by_p[2], f"seed {seed}: f_5 not increasing: {f5_by_p}"
         ok = True
     finally:
@@ -157,7 +157,7 @@ def test_criterion_6_length_sweep_contract():
         reports = sweep_length(corpus, BIG_CONFIG, [75, 125, 250, 500, 1000], backends=SPLIT)
         assert sorted(reports) == [75, 125, 250, 500, 1000]
         for length, report in reports.items():
-            assert report.f_pre.l_max == 12
+            assert report.config.resolved_l_max == 12 and len(report.f_pre) == 8
             assert report.n_docs_pre == 4 and report.n_docs_post == 4
         ok = True
     finally:

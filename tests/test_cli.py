@@ -153,6 +153,19 @@ def test_audit_duplicate_ids_across_cohorts_exit_2(corpus_files, tmp_path, capsy
     assert "both cohorts" in capsys.readouterr().err
 
 
+def test_audit_cache_path_under_a_file_exit_2_before_any_request(corpus_files, tmp_path, monkeypatch, capsys):
+    pre, post = corpus_files
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda *args: calls.append(1) or "")
+    out = tmp_path / "r"
+    cache = blocker / "c.jsonl"
+    assert main(_audit_args(pre, post, out, "--backend", "verbatim", "--cache", str(cache))) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_audit_backend_failure_exit_3(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     with StubServer([(400, {"error": "denied"})] * 6) as server:

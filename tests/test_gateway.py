@@ -307,10 +307,11 @@ def test_cache_skips_line_torn_inside_a_character(tmp_path, caplog):
 
 
 def test_cache_failed_write_leaves_no_lookup_hit(tmp_path):
-    # The cache file's parent is a file, so the write fails.
-    blocker = tmp_path / "blocker"
-    blocker.write_text("", encoding="utf-8")
-    cache = GenerationCache(blocker / "cache.jsonl")
+    # A directory takes the cache file's place after the cache is built, so the write fails.
+    path = tmp_path / "cache.jsonl"
+    cache = GenerationCache(path)
+    path.unlink()
+    path.mkdir()
     with pytest.raises(OSError):
         _store(cache, "k1", "lost")
     assert cache.lookup("k1") is None

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from oracles import longest_common_substring_len, oracle_frequency_counts, oracle_rows
 from msr_audit import matching
 from msr_audit.matching import (
-    FrequencyArray,
     _intern,
     _qgram_keys,
     frequency_array,
@@ -290,29 +289,28 @@ def _timed(fn):
 def test_frequency_array_threshold_semantics():
     arr = frequency_array([5, 3, 12, 7], l_min=5, l_max=12)
     # matches >= k for k = 5..12: lengths {5, 7, 12} qualify progressively
-    assert arr.counts == (3, 2, 2, 1, 1, 1, 1, 1)
-    assert arr.l_min == 5 and arr.l_max == 12
+    assert arr == (3, 2, 2, 1, 1, 1, 1, 1)
 
 
 def test_frequency_array_counts_above_l_max_once_per_threshold():
     arr = frequency_array([40], l_min=5, l_max=8)
-    assert arr.counts == (1, 1, 1, 1)
+    assert arr == (1, 1, 1, 1)
 
 
 def test_frequency_array_ignores_short_matches():
     arr = frequency_array([1, 2, 4], l_min=5, l_max=6)
-    assert arr.counts == (0, 0)
+    assert arr == (0, 0)
 
 
 def test_frequency_array_exact_mode():
     arr = frequency_array([5, 5, 6, 12, 40], l_min=5, l_max=12, exact=True)
-    assert arr.counts == (2, 1, 0, 0, 0, 0, 0, 1)  # 40 exceeds l_max: not counted
+    assert arr == (2, 1, 0, 0, 0, 0, 0, 1)  # 40 exceeds l_max: not counted
 
 
 def test_frequency_array_threshold_counts_are_non_increasing():
     rng = random.Random(11)
     lengths = [rng.randrange(1, 20) for _ in range(100)]
-    counts = frequency_array(lengths, l_min=2, l_max=15).counts
+    counts = frequency_array(lengths, l_min=2, l_max=15)
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
@@ -323,35 +321,20 @@ def test_frequency_array_validates_bounds():
         frequency_array([], l_min=6, l_max=5)
 
 
-def test_frequency_array_dataclass_validation():
-    with pytest.raises(ValueError):
-        FrequencyArray(l_min=5, l_max=12, counts=(1, 2))  # wrong width
-    with pytest.raises(ValueError):
-        FrequencyArray(l_min=5, l_max=5, counts=(-1,))
-    with pytest.raises(ValueError):
-        FrequencyArray(l_min=0, l_max=3, counts=(0, 0, 0, 0))
-
-
-def test_frequency_array_rejects_reversed_bounds():
-    with pytest.raises(ValueError, match="must be <="):
-        FrequencyArray(l_min=5, l_max=3, counts=())
-
-
 def test_sum_arrays():
-    a = FrequencyArray(5, 7, (3, 2, 1))
-    b = FrequencyArray(5, 7, (1, 1, 0))
-    assert sum_arrays([a, b]).counts == (4, 3, 1)
-    assert sum_arrays([a]).counts == a.counts
+    a, b = (3, 2, 1), (1, 1, 0)
+    assert sum_arrays([a, b]) == (4, 3, 1)
+    assert sum_arrays([a]) == a
     with pytest.raises(ValueError, match="empty"):
         sum_arrays([])
-    with pytest.raises(ValueError, match="mismatch"):
-        sum_arrays([a, FrequencyArray(5, 8, (1, 1, 0, 0))])
+    with pytest.raises(ValueError, match=r"differ in length: \[3, 4\]"):
+        sum_arrays([a, (1, 1, 0, 0)])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=30), max_size=40))
 def test_threshold_array_is_suffix_sum_of_exact_array(lengths):
-    thresh = frequency_array(lengths, 2, 10).counts
-    exact = frequency_array(lengths, 2, 10, exact=True).counts
+    thresh = frequency_array(lengths, 2, 10)
+    exact = frequency_array(lengths, 2, 10, exact=True)
     overflow = sum(1 for k in lengths if k > 10)
     tail = overflow
     for idx in range(len(exact) - 1, -1, -1):
@@ -366,8 +349,8 @@ def test_frequency_array_matches_count_oracle(data):
     lengths = data.draw(st.lists(st.integers(min_value=0, max_value=3 * l_max), max_size=60))
     for exact in (False, True):
         expected = oracle_frequency_counts(lengths, l_min, l_max, exact=exact)
-        assert frequency_array(lengths, l_min, l_max, exact=exact).counts == expected
-        counts = frequency_array(np.array(lengths, dtype=np.int32), l_min, l_max, exact=exact).counts
+        assert frequency_array(lengths, l_min, l_max, exact=exact) == expected
+        counts = frequency_array(np.array(lengths, dtype=np.int32), l_min, l_max, exact=exact)
         assert counts == expected
         assert all(type(c) is int for c in counts)
 

@@ -29,7 +29,7 @@ from msr_audit.gateway import (
     _SYLLABLES,
     request_key,
 )
-from msr_audit.matching import FrequencyArray, sum_arrays
+from msr_audit.matching import sum_arrays
 from msr_audit.runner import (
     AuditReport,
     ExperimentConfig,
@@ -114,8 +114,8 @@ def test_resolved_l_max():
 def test_run_audit_separates_verbatim_from_oblivious(small_corpus, small_config):
     report = run_audit(small_corpus, small_config, backends=SPLIT)
     # each pre document regurgitates its 20-token reference: one maximal match
-    assert report.f_pre.counts == (3,) * 7
-    assert report.f_post.counts == (0,) * 7
+    assert report.f_pre == (3,) * 7
+    assert report.f_post == (0,) * 7
     assert report.comparison.delta == -1.0
     assert report.comparison.ks == 1.0
     assert report.comparison.p_value < 0.001
@@ -133,13 +133,13 @@ def test_run_audit_document_summaries_follow_corpus_order(small_corpus, small_co
 
 def test_run_audit_single_backend_for_both_cohorts(small_corpus, small_config):
     report = run_audit(small_corpus, small_config, backends=VerbatimBackend())
-    assert report.f_pre.counts == report.f_post.counts == (3,) * 7
+    assert report.f_pre == report.f_post == (3,) * 7
     assert report.comparison.delta == 0.0
 
 
 def test_run_audit_builds_backend_from_config_spec(small_corpus, small_config):
     report = run_audit(small_corpus, replace(small_config, backend="oblivious"))
-    assert report.f_pre.counts == (0,) * 7
+    assert report.f_pre == (0,) * 7
 
 
 def test_run_audit_applies_min_words_filter(small_config):
@@ -193,7 +193,7 @@ def test_run_audit_warns_on_empty_completion(small_corpus, small_config, caplog)
     messages = [r.message for r in caplog.records if "empty completion" in r.message]
     assert messages == ["empty completion for document 'pre-1'; will count as zero-match"]
     [empty] = [d for d in report.documents if d.doc_id == "pre-1"]
-    assert empty.longest_match == 0 and empty.counts.counts == (0,) * 7
+    assert empty.longest_match == 0 and empty.counts == (0,) * 7
     assert report.failures == 0
 
 
@@ -397,7 +397,7 @@ def test_run_audit_truncation_shortens_references(small_corpus, small_config):
     for summary in report.documents:
         if summary.cohort == "pre":
             assert summary.longest_match == 10
-    assert report.f_pre.l_max == min(small_config.l_max, 10)
+    assert len(report.f_pre) == min(small_config.l_max, 10) - small_config.l_min + 1
 
 
 def _cased_corpus() -> list[Document]:
@@ -430,7 +430,7 @@ def test_fresh_words_stay_unmatched_under_lowercase(backend):
     ]
     report = run_audit(docs, ExperimentConfig(l_min=1, lowercase=True), backends=backend)
     assert [summary.longest_match for summary in report.documents] == [0, 0, 0, 0]
-    assert set(report.f_pre.counts) == set(report.f_post.counts) == {0}
+    assert set(report.f_pre) == set(report.f_post) == {0}
 
 
 def test_run_audit_lowercase_sends_the_text_as_written(small_config):
@@ -462,6 +462,15 @@ def test_run_audit_uses_cache_across_runs(small_corpus, small_config, tmp_path):
     second = run_audit(small_corpus, config, backends=counting)
     assert counting["pre"].calls == 3 and counting["post"].calls == 3  # all cache hits
     assert first.f_pre == second.f_pre and first.f_post == second.f_post
+
+
+def test_run_audit_with_an_unwritable_cache_path_sends_no_request(small_corpus, small_config, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    counting = CountingBackend(VerbatimBackend())
+    with pytest.raises(OSError):
+        run_audit(small_corpus, replace(small_config, cache_path=str(blocker / "cache.jsonl")), backends=counting)
+    assert counting.calls == 0
 
 
 def test_cached_run_audit_keeps_a_completion_with_a_lone_surrogate(small_corpus, small_config, tmp_path):
@@ -526,7 +535,7 @@ def test_runs_without_a_cache_file_build_no_cache_and_digest_nothing(small_corpu
 def test_run_audit_exact_length_mode(small_corpus, small_config):
     report = run_audit(small_corpus, replace(small_config, exact_lengths=True), backends=SPLIT)
     # the single 20-token match exceeds l_max=8, so no exact bucket counts it
-    assert report.f_pre.counts == (0,) * 7
+    assert report.f_pre == (0,) * 7
 
 
 class PrefixCopyBackend(Backend):
@@ -556,10 +565,10 @@ def test_run_audit_longest_match_below_l_min(small_corpus, small_config):
         rows = oracle_rows(*backend.pairs[tag])
         assert summary.longest_match == max((length for length, _, _ in rows), default=0)
         if summary.longest_match < 5:
-            assert summary.counts.counts == (0, 0, 0, 0)
+            assert summary.counts == (0, 0, 0, 0)
     longest = {summary.doc_id: summary.longest_match for summary in report.documents}
     assert longest == {"pre-0": 3, "pre-1": 0, "pre-2": 8, "post-0": 0, "post-1": 4, "post-2": 6}
-    assert report.f_pre.counts == (1, 1, 1, 1)
+    assert report.f_pre == (1, 1, 1, 1)
 
 
 # ----------------------------------------------------------------------- sweeps
@@ -571,7 +580,7 @@ def test_sweep_shots(small_corpus, small_config):
     for shots, report in reports.items():
         assert report.config.shots == shots
         # verbatim still produces one full-reference match per pre document
-        assert report.f_pre.counts == (3,) * 7
+        assert report.f_pre == (3,) * 7
 
 
 def test_sweep_shots_rejects_bad_values_before_running(small_corpus, small_config):
@@ -777,7 +786,7 @@ def test_sweep_length(small_corpus, small_config):
     reports = sweep_length(small_corpus, small_config, [60, 90, 120], backends=SPLIT)
     for length, report in reports.items():
         assert report.config.truncate_words == length
-        assert report.f_pre.l_max == min(small_config.l_max, length // small_config.shots)
+        assert len(report.f_pre) == min(small_config.l_max, length // small_config.shots) - small_config.l_min + 1
 
 
 def test_sweep_length_rejects_impossible_lengths_upfront(small_corpus, small_config):
