@@ -7,6 +7,8 @@ distributions between a likely-trained cohort and a post-cutoff control cohort
 with non-parametric statistics.
 """
 
+from types import ModuleType as _ModuleType
+
 from msr_audit.corpus import (
     CorpusError,
     Document,
@@ -64,47 +66,7 @@ from msr_audit.stats import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "Backend",
-    "BackendError",
-    "CohortComparison",
-    "CorpusError",
-    "DEFAULT_SYSTEM_PROMPT",
-    "Document",
-    "DocumentMatchSummary",
-    "ExperimentConfig",
-    "GeneratedCompletion",
-    "GenerationCache",
-    "GenerationParams",
-    "LiveBackend",
-    "ObliviousBackend",
-    "PartialCopyBackend",
-    "TokenizedDocument",
-    "Transcript",
-    "VerbatimBackend",
-    "backend_from_spec",
-    "build_transcript",
-    "cliffs_delta",
-    "compare_cohorts",
-    "compare_samples",
-    "emit_report",
-    "filter_by_length",
-    "format_transcript",
-    "frequency_array",
-    "generate_batch",
-    "kruskal_wallis",
-    "ks_distance",
-    "load_corpus",
-    "low_vs_high",
-    "maximal_common_substrings",
-    "report_to_dict",
-    "run_audit",
-    "segment",
-    "sum_arrays",
-    "sweep",
-    "sweep_length",
-    "tokenize",
-    "tokenize_document",
-    "truncate",
-]
+# The imports above are the public API; every public name they bind is exported.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

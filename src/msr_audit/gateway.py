@@ -50,7 +50,7 @@ class GenerationParams:
     model: str = "mock"
     temperature: float = 0.1
     max_tokens: int | None = None
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.temperature):
@@ -93,7 +93,7 @@ def request_key(backend: Backend, transcript: Transcript, params: GenerationPara
     """
     payload = {**request_body(transcript, params), "backend": backend.name}
     if backend.uses_seed:
-        payload["seed"] = params.seed if params.seed is not None else 0
+        payload["seed"] = params.seed
     canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -132,9 +132,9 @@ _SYLLABLES = (
 )
 
 
-def _call_rng(seed: int | None, reference_text: str) -> random.Random:
+def _call_rng(seed: int, reference_text: str) -> random.Random:
     """RNG derived from (seed, reference) so output is independent of call order."""
-    digest = hashlib.sha256(f"{seed or 0}|{reference_text}".encode("utf-8")).digest()
+    digest = hashlib.sha256(f"{seed}|{reference_text}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from msr_audit.corpus import (
     COHORTS,
@@ -65,20 +65,20 @@ class ExperimentConfig:
     """
 
     backend: str = "verbatim"
-    model: str = "mock"
+    model: str = GenerationParams.model
     shots: int = 6
     l_min: int = 5
     l_max: int = 12
-    temperature: float = 0.1
+    temperature: float = GenerationParams.temperature
     min_words: int = 1000
     truncate_words: int | None = None
     max_in_flight: int = 4
     cache_path: str | None = None
-    seed: int = 0
+    seed: int = GenerationParams.seed
     system_prompt: str = DEFAULT_SYSTEM_PROMPT
     lowercase: bool = False
     exact_lengths: bool = False
-    max_tokens: int | None = None
+    max_tokens: int | None = GenerationParams.max_tokens
     base_url: str | None = None
 
     @property
@@ -282,6 +282,7 @@ def _run(
     corpus: Sequence[Document],
     configs: Sequence[ExperimentConfig],
     backends: Backend | Mapping[str, Backend | str] | None,
+    before_requests: Callable[[], object] | None,
 ) -> list[AuditReport]:
     """Audit ``corpus`` once per config, in order, after one shared set-up.
 
@@ -297,6 +298,8 @@ def _run(
         limit = _word_limit(configs)
         eligible = filter_by_length([tokenize_document(doc, limit=limit) for doc in corpus], first.min_words)
         cache = GenerationCache(first.cache_path) if first.cache_path is not None else None
+        if before_requests is not None:
+            before_requests()
         return [_audit(eligible, config, backend_map, cache) for config in configs]
 
 
@@ -304,13 +307,16 @@ def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
     backends: Backend | Mapping[str, Backend | str] | None = None,
+    before_requests: Callable[[], object] | None = None,
 ) -> AuditReport:
     """Run the full audit and compare the pre and post cohorts.
 
     Per-document failures (too short to segment, generation errors) are
     counted and skipped; an entire cohort coming up empty is an error.
+    ``before_requests`` (if given) is called once the corpus is tokenized
+    and the backends and cache are built, before the first request.
     """
-    return _run(corpus, [config], backends)[0]
+    return _run(corpus, [config], backends, before_requests)[0]
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
@@ -323,6 +329,7 @@ def sweep(
     dimension: str,
     values: Iterable[int | float],
     backends: Backend | Mapping[str, Backend | str] | None = None,
+    before_requests: Callable[[], object] | None = None,
 ) -> dict[int | float, AuditReport]:
     """Re-run the audit at each value of one config field.
 
@@ -330,7 +337,8 @@ def sweep(
     truncation length). Values must be distinct, and all of them are validated
     before any request is sent, so a bad value cannot waste earlier runs. The
     corpus is tokenized, and the backends and the completion cache (only with
-    ``config.cache_path``) are built, once for the whole sweep.
+    ``config.cache_path``) are built, once for the whole sweep;
+    ``before_requests`` is called as in ``run_audit``.
     """
     if dimension not in SWEEP_FIELDS:
         raise ValueError(f"unknown sweep dimension {dimension!r}; expected one of {sorted(SWEEP_FIELDS)}")
@@ -341,7 +349,7 @@ def sweep(
         raise ValueError(f"{dimension} sweep values must be distinct, got {values}")
     # replace() checks each value's config, so a bad value raises here.
     configs = [replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values]
-    return dict(zip(values, _run(corpus, configs, backends)))
+    return dict(zip(values, _run(corpus, configs, backends, before_requests)))
 
 
 def sweep_length(

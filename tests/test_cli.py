@@ -166,6 +166,24 @@ def test_audit_cache_path_under_a_file_exit_2_before_any_request(corpus_files, t
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "taken"),
+    [(["audit"], ""), (["sweep", "length", "--values", "60,100"], "length_100")],
+    ids=["audit", "sweep-length"],
+)
+def test_out_taken_by_a_file_exit_2_before_any_request(corpus_files, tmp_path, monkeypatch, capsys, command, taken):
+    # The audit's --out, or the second sweep value's directory, is a regular file.
+    pre, post = corpus_files
+    out = tmp_path / "r"
+    (out / taken).parent.mkdir(exist_ok=True)
+    (out / taken).write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda *args: calls.append(1) or "")
+    assert main([*command, *_audit_args(pre, post, out, "--backend", "verbatim")[1:]]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_audit_backend_failure_exit_3(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     with StubServer([(400, {"error": "denied"})] * 6) as server:

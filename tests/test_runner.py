@@ -88,6 +88,7 @@ def test_config_validation_rejects(kwargs):
 def test_config_params_carry_the_request_fields():
     config = ExperimentConfig(model="m", temperature=0.5, max_tokens=9, seed=4, shots=4)
     assert config.params == GenerationParams(model="m", temperature=0.5, max_tokens=9, seed=4)
+    assert ExperimentConfig().params == GenerationParams()
     with pytest.raises(ValueError, match="temperature must be >= 0, got -1.0"):
         ExperimentConfig(temperature=-1.0)
     with pytest.raises(ValueError, match="max_tokens must be >= 1, got 0"):
@@ -471,6 +472,21 @@ def test_run_audit_with_an_unwritable_cache_path_sends_no_request(small_corpus, 
     with pytest.raises(OSError):
         run_audit(small_corpus, replace(small_config, cache_path=str(blocker / "cache.jsonl")), backends=counting)
     assert counting.calls == 0
+
+
+def test_before_requests_runs_once_after_set_up_and_before_the_first_request(small_corpus, small_config, tmp_path):
+    counting = CountingBackend(VerbatimBackend())
+    seen = []
+    cache_path = tmp_path / "cache.jsonl"
+    config = replace(small_config, cache_path=str(cache_path))
+    sweep(
+        small_corpus, config, "shots", [2, 4],
+        backends=counting, before_requests=lambda: seen.append((counting.calls, cache_path.exists())),
+    )
+    assert seen == [(0, True)] and counting.calls > 0
+    with pytest.raises(ValueError, match="distinct"):
+        sweep(small_corpus, config, "shots", [2, 2], backends=counting, before_requests=lambda: seen.append(1))
+    assert seen == [(0, True)]
 
 
 def test_cached_run_audit_keeps_a_completion_with_a_lone_surrogate(small_corpus, small_config, tmp_path):
