@@ -32,6 +32,7 @@ from msr_audit.gateway import (
     BackendError,
     GenerationCache,
     GenerationParams,
+    GenerationRecord,
     backend_from_spec,
     generate_batch,
     utc_timestamp,
@@ -45,6 +46,7 @@ from msr_audit.matching import (
 from msr_audit.prompting import (
     DEFAULT_SYSTEM_PROMPT,
     GeneratedCompletion,
+    Transcript,
     build_transcript,
     segment,
 )
@@ -178,63 +180,14 @@ def _word_limit(configs: Collection[ExperimentConfig]) -> int | None:
     return max(max(config.truncate_words, config.min_words + 1) for config in configs)
 
 
-def _score_cohort(
-    segmented: Sequence[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]],
-    config: ExperimentConfig,
-    backend: Backend,
-    cache: GenerationCache | None,
-) -> list[DocumentMatchSummary]:
-    """Build one cohort's transcripts, complete them in one batch and score
-    each record; a document whose generation failed is logged and left out.
-    The transcripts and records are released on return, so an audit holds
-    one cohort's at a time."""
-    transcripts = [
-        build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented
-    ]
-    records = generate_batch(
-        backend, transcripts, config.params, max_in_flight=config.max_in_flight, cache=cache
-    )
-    summaries: list[DocumentMatchSummary] = []
-    for (doc, _), transcript, record in zip(segmented, transcripts, records):
-        if record.error is not None:
-            logger.warning("generation failed for document %r: %s", doc.id, record.error)
-            continue
-        if not record.output_text:
-            logger.warning("empty completion for document %r; will count as zero-match", doc.id)
-        text, reference = record.output_text, transcript.reference_tokens
-        if config.lowercase:
-            text, reference = text.lower(), tuple(token.lower() for token in reference)
-        completion = GeneratedCompletion.from_text(text)
-        matches = maximal_common_substrings(reference, completion.tokens, config.l_min)
-        lengths = matches[:, 0]
-        counts = frequency_array(
-            lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths
-        )
-        # The kernel skips runs shorter than l_min; when it found none, the
-        # longest match is one of those.
-        if len(lengths):
-            longest = int(lengths.max())
-        else:
-            longest = longest_match_below(reference, completion.tokens, config.l_min)
-        summaries.append(
-            DocumentMatchSummary(doc_id=doc.id, cohort=doc.cohort, longest_match=longest, counts=counts)
-        )
-    return summaries
+# One cohort's documents, each with its segments' [start, end) token ranges.
+_Segmented = list[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]]
 
 
-def _audit(
-    eligible: Sequence[TokenizedDocument],
-    config: ExperimentConfig,
-    backend_map: Mapping[str, Backend],
-    cache: GenerationCache | None,
-) -> AuditReport:
-    """Truncate and segment already-tokenized documents into their cohorts,
-    then per cohort generate and score, and compare the cohorts."""
-    # Segment every document before any request, so a cohort that
-    # segmentation empties sends none.
-    cohorts: dict[str, list[tuple[TokenizedDocument, tuple[tuple[int, int], ...]]]] = {
-        cohort: [] for cohort in COHORTS
-    }
+def _segment(eligible: Sequence[TokenizedDocument], config: ExperimentConfig) -> dict[str, _Segmented]:
+    """Truncate and segment each document into its cohort; one too short is
+    logged and left out, and a cohort left empty raises ``CorpusError``."""
+    cohorts: dict[str, _Segmented] = {cohort: [] for cohort in COHORTS}
     for doc in eligible:
         if config.truncate_words is not None:
             doc = truncate(doc, config.truncate_words)
@@ -242,17 +195,60 @@ def _audit(
             cohorts[doc.cohort].append((doc, segment(doc, config.shots)))
         except ValueError as exc:
             logger.warning("skipping document %r: %s", doc.id, exc)
-
     for cohort, segmented in cohorts.items():
         if not segmented:
             raise CorpusError(f"cohort {cohort!r} is empty after filtering")
+    return cohorts
 
+
+def _score(
+    doc: TokenizedDocument, transcript: Transcript, record: GenerationRecord, config: ExperimentConfig
+) -> DocumentMatchSummary | None:
+    """Match one document's completion against its reference; None (logged)
+    when its generation failed."""
+    if record.error is not None:
+        logger.warning("generation failed for document %r: %s", doc.id, record.error)
+        return None
+    if not record.output_text:
+        logger.warning("empty completion for document %r; will count as zero-match", doc.id)
+    text, reference = record.output_text, transcript.reference_tokens
+    if config.lowercase:
+        text, reference = text.lower(), tuple(token.lower() for token in reference)
+    completion = GeneratedCompletion.from_text(text)
+    lengths = maximal_common_substrings(reference, completion.tokens, config.l_min)[:, 0]
+    counts = frequency_array(lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths)
+    # The kernel skips runs shorter than l_min; when it found none, the
+    # longest match is one of those.
+    longest = int(lengths.max()) if len(lengths) else longest_match_below(reference, completion.tokens, config.l_min)
+    return DocumentMatchSummary(doc_id=doc.id, cohort=doc.cohort, longest_match=longest, counts=counts)
+
+
+def _audit(
+    eligible: Sequence[TokenizedDocument],
+    cohorts: Mapping[str, _Segmented],
+    config: ExperimentConfig,
+    backend_map: Mapping[str, Backend],
+    cache: GenerationCache | None,
+) -> AuditReport:
+    """The request phase of one config: per cohort of ``_segment``'s output,
+    build the transcripts, complete them in one batch and score them; then
+    compare the cohorts. One cohort's transcripts are alive at a time."""
     # Ids are unique (_run rejects repeats), so they restore corpus order.
     scored: dict[str, DocumentMatchSummary] = {}
     totals: dict[str, tuple[int, ...]] = {}
     sizes: dict[str, int] = {}
     for cohort, segmented in cohorts.items():
-        summaries = _score_cohort(segmented, config, backend_map[cohort], cache)
+        transcripts = [build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented]
+        records = generate_batch(
+            backend_map[cohort], transcripts, config.params, max_in_flight=config.max_in_flight, cache=cache
+        )
+        # A comprehension, so no loop variable keeps a transcript bound.
+        summaries = [
+            summary
+            for (doc, _), transcript, record in zip(segmented, transcripts, records)
+            if (summary := _score(doc, transcript, record, config)) is not None
+        ]
+        del transcripts, records
         if not summaries:
             # Documents were segmented but every generation failed, so this
             # is the backend's fault rather than the corpus's.
@@ -286,9 +282,12 @@ def _run(
 ) -> list[AuditReport]:
     """Audit ``corpus`` once per config, in order, after one shared set-up.
 
-    Repeated document ids fail before any backend is built or document
-    tokenized. The configs differ only in a swept field, so the first one's
-    backend, ``min_words`` and ``cache_path`` (if set) serve them all.
+    Set-up ends before the first request. Repeated ids fail before any
+    backend is built; the corpus is tokenized and length-filtered once; each
+    config's cohorts are truncated and segmented (an emptied one fails);
+    then the cache is opened and ``before_requests`` called. The configs
+    differ in one field, so the first one's backend, ``min_words`` and
+    ``cache_path`` serve them all.
     """
     repeated = sorted(doc_id for doc_id, count in Counter(doc.id for doc in corpus).items() if count > 1)
     if repeated:
@@ -297,10 +296,11 @@ def _run(
     with _cohort_backends(first, backends) as backend_map:
         limit = _word_limit(configs)
         eligible = filter_by_length([tokenize_document(doc, limit=limit) for doc in corpus], first.min_words)
+        segmented = [_segment(eligible, config) for config in configs]
         cache = GenerationCache(first.cache_path) if first.cache_path is not None else None
         if before_requests is not None:
             before_requests()
-        return [_audit(eligible, config, backend_map, cache) for config in configs]
+        return [_audit(eligible, cohorts, config, backend_map, cache) for cohorts, config in zip(segmented, configs)]
 
 
 def run_audit(
@@ -313,8 +313,8 @@ def run_audit(
 
     Per-document failures (too short to segment, generation errors) are
     counted and skipped; an entire cohort coming up empty is an error.
-    ``before_requests`` (if given) is called once the corpus is tokenized
-    and the backends and cache are built, before the first request.
+    ``before_requests`` (if given) is called once set-up is done: the
+    backends and cache built, every document tokenized and segmented.
     """
     return _run(corpus, [config], backends, before_requests)[0]
 
@@ -334,11 +334,11 @@ def sweep(
     """Re-run the audit at each value of one config field.
 
     ``dimension`` is ``"shots"``, ``"temperature"`` or ``"length"`` (the
-    truncation length). Values must be distinct, and all of them are validated
-    before any request is sent, so a bad value cannot waste earlier runs. The
-    corpus is tokenized, and the backends and the completion cache (only with
-    ``config.cache_path``) are built, once for the whole sweep;
-    ``before_requests`` is called as in ``run_audit``.
+    truncation length). Values must be distinct, and every value's config
+    is checked and its cohorts segmented before any request, so a bad value
+    cannot waste earlier runs. The corpus is tokenized, and the backends and
+    the completion cache (only with ``config.cache_path``) are built, once
+    for the whole sweep; ``before_requests`` is called as in ``run_audit``.
     """
     if dimension not in SWEEP_FIELDS:
         raise ValueError(f"unknown sweep dimension {dimension!r}; expected one of {sorted(SWEEP_FIELDS)}")

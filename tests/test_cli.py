@@ -184,6 +184,18 @@ def test_out_taken_by_a_file_exit_2_before_any_request(corpus_files, tmp_path, m
     assert calls == []
 
 
+def test_sweep_value_that_empties_a_cohort_exit_2_before_any_request(corpus_files, tmp_path, monkeypatch, capsys):
+    # 120-word documents fill 2 segments but not 200.
+    pre, post = corpus_files
+    out = tmp_path / "r"
+    calls = []
+    monkeypatch.setattr(VerbatimBackend, "complete", lambda *args: calls.append(1) or "")
+    argv = ["sweep", "shots", "--values", "2,200", *_audit_args(pre, post, out, "--backend", "verbatim")[1:]]
+    assert main(argv) == 2
+    assert "empty after filtering" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_audit_backend_failure_exit_3(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     with StubServer([(400, {"error": "denied"})] * 6) as server:

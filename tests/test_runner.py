@@ -608,6 +608,22 @@ def test_sweep_shots_rejects_bad_values_before_running(small_corpus, small_confi
         sweep(small_corpus, small_config, "shots", [], backends=counting)
 
 
+def test_sweep_segments_every_value_before_the_first_request(tmp_path):
+    # 60-word documents fill 2 segments but not 70, so the second value
+    # empties both cohorts; no request, hook call or cache file comes first.
+    counting = CountingBackend(VerbatimBackend())
+    hook_calls = []
+    cache_path = tmp_path / "cache.jsonl"
+    config = ExperimentConfig(min_words=10, l_min=1, l_max=3, cache_path=str(cache_path))
+    with pytest.raises(CorpusError, match="empty after filtering"):
+        sweep(
+            make_corpus(n_pre=4, n_post=4, words=60), config, "shots", [2, 70],
+            backends=counting, before_requests=lambda: hook_calls.append(1),
+        )
+    assert counting.calls == 0 and hook_calls == []
+    assert not cache_path.exists()
+
+
 def test_sweep_temperature_two_values_adds_contrast(small_corpus, small_config):
     reports = sweep(small_corpus, small_config, "temperature", [0.1, 0.7], backends=SPLIT)
     assert sorted(reports) == [0.1, 0.7]
