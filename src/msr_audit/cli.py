@@ -21,14 +21,14 @@ import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from msr_audit import __version__
 from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate
 from msr_audit.gateway import BackendError
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import build_transcript, format_transcript, segment
-from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, emit_report, low_vs_high, run_audit, sweep
+from msr_audit.runner import SWEEP_FIELDS, ExperimentConfig, low_vs_high, report_paths, run_audit, sweep, value_dir
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -131,22 +131,12 @@ def _cohort_specs(args: argparse.Namespace) -> dict[str, str]:
     return {"pre": args.backend_pre or args.backend, "post": args.backend_post or args.backend}
 
 
-def _make_dirs(dirs: Iterable[Path]) -> None:
-    # Run as the runner's before_requests, so an unusable --out fails before the first request.
-    for path in dirs:
-        path.mkdir(parents=True, exist_ok=True)
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     corpus = _load_cohorts(args)
-    report = run_audit(
-        corpus, _config_from_args(args),
-        backends=_cohort_specs(args), before_requests=lambda: _make_dirs([Path(args.out)]),
-    )
-    paths = emit_report(report, args.out)
+    report = run_audit(corpus, _config_from_args(args), backends=_cohort_specs(args), out=args.out)
     print(json.dumps(asdict(report.comparison), sort_keys=True))
-    print(f"wrote {paths['summary']}")
-    print(f"wrote {paths['frequencies']}")
+    for path in report_paths(args.out).values():
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -172,24 +162,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The swept field starts at the first value, so a flag the sweep
     # overrides (say --shots in a shots sweep) cannot fail the config.
     config = _config_from_args(args, **{SWEEP_FIELDS[args.dimension]: values[0]})
-    out = Path(args.out)
-    # str() round-trips, so distinct values never share a directory.
-    value_dirs = {value: out / f"{args.dimension}_{value}" for value in values}
-    results = sweep(
-        corpus, config, args.dimension, values,
-        backends=_cohort_specs(args), before_requests=lambda: _make_dirs(value_dirs.values()),
-    )
+    results = sweep(corpus, config, args.dimension, values, backends=_cohort_specs(args), out=args.out)
     contrast = low_vs_high(results) if args.dimension == "temperature" else None
 
     for value, report in results.items():
-        paths = emit_report(report, value_dirs[value])
         line = {"value": value}
         line.update(asdict(report.comparison))
         print(json.dumps(line, sort_keys=True))
-        print(f"wrote {paths['summary']}", file=sys.stderr)
+        print(f"wrote {report_paths(value_dir(args.out, args.dimension, value))['summary']}", file=sys.stderr)
     if contrast is not None:
         payload = {"low_vs_high": asdict(contrast)}
-        contrast_path = out / "low_vs_high.json"
+        contrast_path = Path(args.out) / "low_vs_high.json"
         contrast_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(json.dumps(payload, sort_keys=True))
         print(f"wrote {contrast_path}", file=sys.stderr)

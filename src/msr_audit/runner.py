@@ -16,7 +16,7 @@ from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from msr_audit.corpus import (
     COHORTS,
@@ -278,16 +278,17 @@ def _run(
     corpus: Sequence[Document],
     configs: Sequence[ExperimentConfig],
     backends: Backend | Mapping[str, Backend | str] | None,
-    before_requests: Callable[[], object] | None,
+    out_dirs: Sequence[str | Path | None],
 ) -> list[AuditReport]:
     """Audit ``corpus`` once per config, in order, after one shared set-up.
 
     Set-up ends before the first request. Repeated ids fail before any
     backend is built; the corpus is tokenized and length-filtered once; each
     config's cohorts are truncated and segmented (an emptied one fails);
-    then the cache is opened and ``before_requests`` called. The configs
-    differ in one field, so the first one's backend, ``min_words`` and
-    ``cache_path`` serve them all.
+    then the cache is opened and each ``out_dirs`` entry (None: no report)
+    created. Each config's report is written there once it is scored, before
+    the next config's requests. The configs differ in one field, so the
+    first one's backend, ``min_words`` and ``cache_path`` serve them all.
     """
     repeated = sorted(doc_id for doc_id, count in Counter(doc.id for doc in corpus).items() if count > 1)
     if repeated:
@@ -298,29 +299,41 @@ def _run(
         eligible = filter_by_length([tokenize_document(doc, limit=limit) for doc in corpus], first.min_words)
         segmented = [_segment(eligible, config) for config in configs]
         cache = GenerationCache(first.cache_path) if first.cache_path is not None else None
-        if before_requests is not None:
-            before_requests()
-        return [_audit(eligible, cohorts, config, backend_map, cache) for cohorts, config in zip(segmented, configs)]
+        for out_dir in out_dirs:
+            if out_dir is not None:
+                Path(out_dir).mkdir(parents=True, exist_ok=True)
+        reports = []
+        for cohorts, config, out_dir in zip(segmented, configs, out_dirs, strict=True):
+            reports.append(_audit(eligible, cohorts, config, backend_map, cache))
+            if out_dir is not None:
+                emit_report(reports[-1], out_dir)
+        return reports
 
 
 def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
     backends: Backend | Mapping[str, Backend | str] | None = None,
-    before_requests: Callable[[], object] | None = None,
+    out: str | Path | None = None,
 ) -> AuditReport:
     """Run the full audit and compare the pre and post cohorts.
 
     Per-document failures (too short to segment, generation errors) are
     counted and skipped; an entire cohort coming up empty is an error.
-    ``before_requests`` (if given) is called once set-up is done: the
-    backends and cache built, every document tokenized and segmented.
+    With ``out``, the directory is created once set-up is done (the
+    backends and cache built, every document tokenized and segmented),
+    before the first request, and the report is written there.
     """
-    return _run(corpus, [config], backends, before_requests)[0]
+    return _run(corpus, [config], backends, [out])[0]
 
 
 # Sweep dimension (the CLI's word) -> the ExperimentConfig field it varies.
 SWEEP_FIELDS = {"shots": "shots", "temperature": "temperature", "length": "truncate_words"}
+
+
+def value_dir(out: str | Path, dimension: str, value: int | float) -> Path:
+    """A sweep value's report directory; str() round-trips, so distinct values never share one."""
+    return Path(out) / f"{dimension}_{value}"
 
 
 def sweep(
@@ -329,7 +342,7 @@ def sweep(
     dimension: str,
     values: Iterable[int | float],
     backends: Backend | Mapping[str, Backend | str] | None = None,
-    before_requests: Callable[[], object] | None = None,
+    out: str | Path | None = None,
 ) -> dict[int | float, AuditReport]:
     """Re-run the audit at each value of one config field.
 
@@ -338,7 +351,8 @@ def sweep(
     is checked and its cohorts segmented before any request, so a bad value
     cannot waste earlier runs. The corpus is tokenized, and the backends and
     the completion cache (only with ``config.cache_path``) are built, once
-    for the whole sweep; ``before_requests`` is called as in ``run_audit``.
+    for the whole sweep. With ``out``, each value's report is written to its
+    ``value_dir``, made before the first request, as soon as it is scored.
     """
     if dimension not in SWEEP_FIELDS:
         raise ValueError(f"unknown sweep dimension {dimension!r}; expected one of {sorted(SWEEP_FIELDS)}")
@@ -349,7 +363,8 @@ def sweep(
         raise ValueError(f"{dimension} sweep values must be distinct, got {values}")
     # replace() checks each value's config, so a bad value raises here.
     configs = [replace(config, **{SWEEP_FIELDS[dimension]: value}) for value in values]
-    return dict(zip(values, _run(corpus, configs, backends, before_requests)))
+    out_dirs = [None if out is None else value_dir(out, dimension, value) for value in values]
+    return dict(zip(values, _run(corpus, configs, backends, out_dirs)))
 
 
 def sweep_length(
@@ -393,8 +408,14 @@ def report_to_dict(report: AuditReport) -> dict:
     }
 
 
+def report_paths(out_dir: str | Path) -> dict[str, Path]:
+    """Where ``emit_report`` writes a report under ``out_dir``."""
+    out = Path(out_dir)
+    return {"summary": out / "summary.json", "frequencies": out / "frequencies.csv"}
+
+
 def emit_report(report: AuditReport, out_dir: str | Path) -> dict[str, Path]:
-    """Write summary.json and frequencies.csv under ``out_dir``.
+    """Write the ``report_paths`` files: summary.json and frequencies.csv.
 
     frequencies.csv carries no timestamp, so reruns of a deterministic
     configuration produce byte-identical files. Refuses to write anything
@@ -402,11 +423,9 @@ def emit_report(report: AuditReport, out_dir: str | Path) -> dict[str, Path]:
     """
     if report.n_docs_pre < 1 or report.n_docs_post < 1:
         raise CorpusError("refusing to write a report with an empty cohort")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    summary_path = out / "summary.json"
-    summary_path.write_text(
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    paths = report_paths(out_dir)
+    paths["summary"].write_text(
         json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -414,7 +433,5 @@ def emit_report(report: AuditReport, out_dir: str | Path) -> dict[str, Path]:
     thresholds = range(report.config.l_min, report.config.resolved_l_max + 1)
     for k, pre, post in zip(thresholds, report.f_pre, report.f_post, strict=True):
         lines.append(f"{k},{pre},{post}")
-    csv_path = out / "frequencies.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    return {"summary": summary_path, "frequencies": csv_path}
+    paths["frequencies"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return paths

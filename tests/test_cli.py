@@ -376,6 +376,24 @@ def test_sweep_temperature_emits_low_vs_high(corpus_files, tmp_path, capsys):
     assert any("low_vs_high" in line for line in stdout_lines)
 
 
+def test_sweep_keeps_earlier_reports_when_a_later_value_fails_exit_3(corpus_files, tmp_path, monkeypatch, capsys):
+    pre, post = corpus_files
+    complete = VerbatimBackend.complete
+
+    def fail_when_hot(self, transcript, params):
+        if params.temperature == 0.7:
+            raise BackendError("too hot")
+        return complete(self, transcript, params)
+
+    monkeypatch.setattr(VerbatimBackend, "complete", fail_when_hot)
+    out = tmp_path / "tsweep"
+    argv = ["sweep", "temperature", "--values", "0.1,0.7", *_audit_args(pre, post, out, "--backend", "verbatim")[1:]]
+    assert main(argv) == 3
+    assert "empty cohort results" in capsys.readouterr().err
+    assert (out / "temperature_0.1" / "summary.json").is_file()
+    assert (out / "temperature_0.1" / "frequencies.csv").is_file()
+
+
 def test_sweep_length_bad_value_exit_1(corpus_files, tmp_path, capsys):
     pre, post = corpus_files
     code = main(["sweep", "length", "--values", "60,5"] + _audit_args(pre, post, tmp_path / "s")[1:])

@@ -475,18 +475,24 @@ def test_run_audit_with_an_unwritable_cache_path_sends_no_request(small_corpus, 
 
 
 def test_before_requests_runs_once_after_set_up_and_before_the_first_request(small_corpus, small_config, tmp_path):
-    counting = CountingBackend(VerbatimBackend())
-    seen = []
+    # With out=, the report directories are made after set-up and before the first request.
     cache_path = tmp_path / "cache.jsonl"
+    out = tmp_path / "out"
+    seen = []
+
+    class FirstCallBackend(CountingBackend):
+        def complete(self, transcript, params):
+            if not seen:
+                seen.append((self.calls, cache_path.exists(), [(out / f"shots_{v}").is_dir() for v in (2, 4)]))
+            return super().complete(transcript, params)
+
+    counting = FirstCallBackend(VerbatimBackend())
     config = replace(small_config, cache_path=str(cache_path))
-    sweep(
-        small_corpus, config, "shots", [2, 4],
-        backends=counting, before_requests=lambda: seen.append((counting.calls, cache_path.exists())),
-    )
-    assert seen == [(0, True)] and counting.calls > 0
+    sweep(small_corpus, config, "shots", [2, 4], backends=counting, out=out)
+    assert seen == [(0, True, [True, True])] and counting.calls > 0
     with pytest.raises(ValueError, match="distinct"):
-        sweep(small_corpus, config, "shots", [2, 2], backends=counting, before_requests=lambda: seen.append(1))
-    assert seen == [(0, True)]
+        sweep(small_corpus, config, "shots", [2, 2], backends=counting, out=tmp_path / "again")
+    assert not (tmp_path / "again").exists()
 
 
 def test_cached_run_audit_keeps_a_completion_with_a_lone_surrogate(small_corpus, small_config, tmp_path):
@@ -610,18 +616,42 @@ def test_sweep_shots_rejects_bad_values_before_running(small_corpus, small_confi
 
 def test_sweep_segments_every_value_before_the_first_request(tmp_path):
     # 60-word documents fill 2 segments but not 70, so the second value
-    # empties both cohorts; no request, hook call or cache file comes first.
+    # empties both cohorts; no request, cache file or report directory comes first.
     counting = CountingBackend(VerbatimBackend())
-    hook_calls = []
-    cache_path = tmp_path / "cache.jsonl"
+    cache_path, out = tmp_path / "cache.jsonl", tmp_path / "out"
     config = ExperimentConfig(min_words=10, l_min=1, l_max=3, cache_path=str(cache_path))
     with pytest.raises(CorpusError, match="empty after filtering"):
-        sweep(
-            make_corpus(n_pre=4, n_post=4, words=60), config, "shots", [2, 70],
-            backends=counting, before_requests=lambda: hook_calls.append(1),
-        )
-    assert counting.calls == 0 and hook_calls == []
-    assert not cache_path.exists()
+        sweep(make_corpus(n_pre=4, n_post=4, words=60), config, "shots", [2, 70], backends=counting, out=out)
+    assert counting.calls == 0
+    assert not cache_path.exists() and not out.exists()
+
+
+class FailsWhenHot(Backend):
+    """Raises ``BackendError`` on every request above temperature 0.5; otherwise delegates."""
+
+    def __init__(self, inner: Backend) -> None:
+        self.inner, self.name, self.uses_seed = inner, inner.name, inner.uses_seed
+
+    def complete(self, transcript, params):
+        if params.temperature > 0.5:
+            raise BackendError("too hot")
+        return self.inner.complete(transcript, params)
+
+
+def _fixed_created_at(summary_path: Path) -> bytes:
+    """A written summary.json's bytes with its timestamp set to "CREATED_AT"."""
+    return re.sub(rb'"created_at": "[^"]*"', b'"created_at": "CREATED_AT"', summary_path.read_bytes(), count=1)
+
+
+def test_sweep_writes_each_report_before_a_later_value_fails(small_corpus, small_config, tmp_path):
+    backends = {cohort: FailsWhenHot(backend) for cohort, backend in SPLIT.items()}
+    with pytest.raises(BackendError, match="empty cohort results"):
+        sweep(small_corpus, small_config, "temperature", [0.1, 0.7], backends=backends, out=tmp_path / "failed")
+    sweep(small_corpus, small_config, "temperature", [0.1], backends=backends, out=tmp_path / "alone")
+    kept, alone = tmp_path / "failed" / "temperature_0.1", tmp_path / "alone" / "temperature_0.1"
+    assert (kept / "frequencies.csv").read_bytes() == (alone / "frequencies.csv").read_bytes()
+    assert _fixed_created_at(kept / "summary.json") == _fixed_created_at(alone / "summary.json")
+    assert not any((tmp_path / "failed" / "temperature_0.7").iterdir())
 
 
 def test_sweep_temperature_two_values_adds_contrast(small_corpus, small_config):
@@ -938,3 +968,13 @@ def test_summary_and_frequencies_match_the_goldens_byte_for_byte(tmp_path):
     written = {path.relative_to(tmp_path): path.read_bytes() for path in sorted(tmp_path.rglob("*.*"))}
     golden = {path.relative_to(GOLDENS): path.read_bytes() for path in sorted(GOLDENS.rglob("*.*"))}
     assert len(written) == 6 and written == golden
+    # The runner writes the same files itself when given out=.
+    corpus, by_runner = _golden_corpus(), tmp_path / "by_runner"
+    audit_config = replace(GOLDEN_CONFIG, exact_lengths=True, lowercase=True)
+    run_audit(corpus, audit_config, GOLDEN_BACKENDS, out=by_runner / "audit")
+    sweep(corpus, GOLDEN_CONFIG, "length", [120, 36], GOLDEN_BACKENDS, out=by_runner / "sweep")
+    runner_written = {
+        path.relative_to(by_runner): _fixed_created_at(path) if path.name == "summary.json" else path.read_bytes()
+        for path in sorted(by_runner.rglob("*.*"))
+    }
+    assert runner_written == golden
