@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from msr_audit import __version__
-from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate
+from msr_audit.corpus import CorpusError, load_corpus, tokenize_document, truncate, words
 from msr_audit.gateway import BackendError
 from msr_audit.matching import frequency_array, maximal_common_substrings
 from msr_audit.prompting import build_transcript, format_transcript, segment
@@ -188,12 +188,8 @@ def _read_text(path: str) -> str:
 
 def cmd_match(args: argparse.Namespace) -> int:
     frequency_array((), args.lmin, args.lmax)  # reject bad thresholds before reading the files
-    ref_text = _read_text(args.reference)
-    gen_text = _read_text(args.generated)
-    if args.lowercase:
-        ref_text, gen_text = ref_text.lower(), gen_text.lower()
-    ref = tuple(ref_text.split())
-    gen = tuple(gen_text.split())
+    ref = words(_read_text(args.reference), args.lowercase)
+    gen = words(_read_text(args.generated), args.lowercase)
     matches = maximal_common_substrings(ref, gen)
     lengths = matches[:, 0]
     counts = frequency_array(lengths, args.lmin, args.lmax, exact=args.exact_lengths)

@@ -102,6 +102,13 @@ def tokenize(text: str, limit: int | None = None) -> np.ndarray:
     return spans
 
 
+def words(text: str, lowercase: bool = False) -> tuple[str, ...]:
+    """The words ``tokenize`` spans, as strings; with ``lowercase``, each one
+    case-folded. Folding moves no word boundary, so this is the one rule for
+    what the audit and ``msr match`` compare."""
+    return tuple((text.lower() if lowercase else text).split())
+
+
 def tokenize_document(doc: Document, limit: int | None = None) -> TokenizedDocument:
     """Tokenize a document's text as written. ``limit`` keeps only the first
     ``limit`` words, as in ``tokenize``, so ``len(tokens)`` is min(word

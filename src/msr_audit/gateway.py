@@ -23,6 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
 
+from msr_audit.corpus import words
 from msr_audit.prompting import Transcript
 
 logger = logging.getLogger(__name__)
@@ -139,7 +140,9 @@ def _call_rng(seed: int, reference_text: str) -> random.Random:
 
 
 def _fresh_tokens(count: int, forbidden: frozenset[str], rng: random.Random) -> list[str]:
-    """Synthetic nonsense words guaranteed absent from ``forbidden``."""
+    """Synthetic nonsense words guaranteed absent from ``forbidden``. They are
+    lowercase, so forbidding the folded reference words keeps them unmatched
+    under case folding too."""
     out = []
     for _ in range(count):
         word = "".join(rng.choice(_SYLLABLES) for _ in range(3))
@@ -147,12 +150,6 @@ def _fresh_tokens(count: int, forbidden: frozenset[str], rng: random.Random) -> 
             word += rng.choice(_SYLLABLES)
         out.append(word)
     return out
-
-
-def _folded(reference_tokens: Sequence[str]) -> frozenset[str]:
-    """The reference words a fresh word must avoid. Fresh words are lowercase,
-    so forbidding the folded forms keeps them unmatched under case folding too."""
-    return frozenset(token.lower() for token in reference_tokens)
 
 
 class ObliviousBackend(Backend):
@@ -164,7 +161,7 @@ class ObliviousBackend(Backend):
 
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         rng = _call_rng(params.seed, transcript.reference_text)
-        forbidden = _folded(transcript.reference_tokens)
+        forbidden = frozenset(words(transcript.reference_text, lowercase=True))
         return " ".join(_fresh_tokens(len(transcript.reference_tokens), forbidden, rng))
 
 
@@ -188,7 +185,7 @@ class PartialCopyBackend(Backend):
     def complete(self, transcript: Transcript, params: GenerationParams) -> str:
         rng = _call_rng(params.seed, transcript.reference_text)
         ref = transcript.reference_tokens
-        forbidden = _folded(ref)
+        forbidden = frozenset(words(transcript.reference_text, lowercase=True))
         out: list[str] = []
         for start in range(0, len(ref), _CHUNK_WORDS):
             chunk = ref[start : start + _CHUNK_WORDS]

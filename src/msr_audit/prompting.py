@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from msr_audit.corpus import TokenizedDocument
+from msr_audit.corpus import TokenizedDocument, words
 
 DEFAULT_SYSTEM_PROMPT = "complete the paragraph"
 
@@ -42,8 +42,8 @@ class GeneratedCompletion:
     tokens: tuple[str, ...]
 
     @classmethod
-    def from_text(cls, text: str) -> GeneratedCompletion:
-        return cls(text=text, tokens=tuple(text.split()))
+    def from_text(cls, text: str, lowercase: bool = False) -> GeneratedCompletion:
+        return cls(text=text, tokens=words(text, lowercase))
 
 
 def segment(doc: TokenizedDocument, n: int) -> tuple[tuple[int, int], ...]:
@@ -105,9 +105,8 @@ def build_transcript(
         turns=turns,
         reference_text=reference_text,
         # The slice runs from its first token's start to its last token's
-        # end, and tokenize splits where str.split does, so this yields
-        # exactly the reference's tokens.
-        reference_tokens=tuple(reference_text.split()),
+        # end, so its words are exactly the reference's tokens.
+        reference_tokens=words(reference_text),
     )
 
 

@@ -26,6 +26,7 @@ from msr_audit.corpus import (
     filter_by_length,
     tokenize_document,
     truncate,
+    words,
 )
 from msr_audit.gateway import (
     Backend,
@@ -151,13 +152,14 @@ class AuditReport:
 @contextmanager
 def _cohort_backends(
     config: ExperimentConfig,
-    backends: Backend | Mapping[str, Backend | str] | None,
+    backends: Backend | str | Mapping[str, Backend | str] | None,
 ) -> Iterator[dict[str, Backend]]:
-    """Map each cohort to its backend: ``backends`` is one backend, or a
-    backend or spec string per cohort; None means ``config.backend`` for both.
+    """Map each cohort to its backend: ``backends`` is one backend or spec
+    string for both cohorts, or a mapping with one per cohort; None means
+    ``config.backend`` for both.
     Each distinct spec is built once and closed on exit, also on error; the
     caller's backends stay open."""
-    if backends is None or isinstance(backends, Backend):
+    if not isinstance(backends, Mapping):
         backends = dict.fromkeys(COHORTS, config.backend if backends is None else backends)
     missing = [cohort for cohort in COHORTS if cohort not in backends]
     if missing:
@@ -211,10 +213,8 @@ def _score(
         return None
     if not record.output_text:
         logger.warning("empty completion for document %r; will count as zero-match", doc.id)
-    text, reference = record.output_text, transcript.reference_tokens
-    if config.lowercase:
-        text, reference = text.lower(), tuple(token.lower() for token in reference)
-    completion = GeneratedCompletion.from_text(text)
+    reference = words(transcript.reference_text, lowercase=True) if config.lowercase else transcript.reference_tokens
+    completion = GeneratedCompletion.from_text(record.output_text, lowercase=config.lowercase)
     lengths = maximal_common_substrings(reference, completion.tokens, config.l_min)[:, 0]
     counts = frequency_array(lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths)
     # The kernel skips runs shorter than l_min; when it found none, the
@@ -277,7 +277,7 @@ def _audit(
 def _run(
     corpus: Sequence[Document],
     configs: Sequence[ExperimentConfig],
-    backends: Backend | Mapping[str, Backend | str] | None,
+    backends: Backend | str | Mapping[str, Backend | str] | None,
     out_dirs: Sequence[str | Path | None],
 ) -> list[AuditReport]:
     """Audit ``corpus`` once per config, in order, after one shared set-up.
@@ -313,7 +313,7 @@ def _run(
 def run_audit(
     corpus: Sequence[Document],
     config: ExperimentConfig,
-    backends: Backend | Mapping[str, Backend | str] | None = None,
+    backends: Backend | str | Mapping[str, Backend | str] | None = None,
     out: str | Path | None = None,
 ) -> AuditReport:
     """Run the full audit and compare the pre and post cohorts.
@@ -341,7 +341,7 @@ def sweep(
     config: ExperimentConfig,
     dimension: str,
     values: Iterable[int | float],
-    backends: Backend | Mapping[str, Backend | str] | None = None,
+    backends: Backend | str | Mapping[str, Backend | str] | None = None,
     out: str | Path | None = None,
 ) -> dict[int | float, AuditReport]:
     """Re-run the audit at each value of one config field.
@@ -371,7 +371,7 @@ def sweep_length(
     corpus: Sequence[Document],
     config: ExperimentConfig,
     lengths: Iterable[int],
-    backends: Backend | Mapping[str, Backend | str] | None = None,
+    backends: Backend | str | Mapping[str, Backend | str] | None = None,
 ) -> dict[int, AuditReport]:
     """Re-run the audit with every document truncated to each length."""
     return sweep(corpus, config, "length", lengths, backends=backends)

@@ -18,6 +18,7 @@ from msr_audit.corpus import (
     tokenize,
     tokenize_document,
     truncate,
+    words,
 )
 
 
@@ -88,6 +89,22 @@ def test_whitespace_alphabet_is_complete():
 @given(st.lists(st.sampled_from(_WHITESPACE + _NOT_WHITESPACE), max_size=60).map("".join))
 def test_tokenize_matches_regex_oracle(text):
     assert [tuple(span) for span in tokenize(text).tolist()] == oracle_token_spans(text)
+
+
+# Any text, with whitespace and cased letters (the final sigma, the dotted
+# capital I and the sharp s among them) drawn far more often than at random.
+_CASED_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(_WHITESPACE + list("AaZzΣσςİıßẞǅΩ"))))
+
+
+@given(_CASED_TEXT)
+def test_words_are_the_tokenized_spans(text):
+    assert words(text) == tuple(text[start:end] for start, end in tokenize(text).tolist())
+
+
+@given(_CASED_TEXT)
+def test_folding_moves_no_word_boundary(text):
+    # So folding the whole text, as msr match does, and folding word by word agree.
+    assert words(text, lowercase=True) == tuple(word.lower() for word in words(text))
 
 
 # Words of up to 20 characters, past the 8 a word the first prefix allows,

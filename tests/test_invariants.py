@@ -1,0 +1,103 @@
+"""Metamorphic invariants of a whole audit: what a report must keep when its
+input changes in a way that carries no evidence of membership.
+
+Corpora are small (at most 8 documents of at most 300 words) and completed by
+the seeded ``partial:P`` mocks, whose output depends only on the seed and the
+reference text, never on a document's cohort or position.
+"""
+
+from __future__ import annotations
+
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_corpus
+from msr_audit.corpus import Document
+from msr_audit.runner import ExperimentConfig, report_paths, run_audit
+
+_CONFIG = ExperimentConfig(min_words=20, shots=2, l_min=2, l_max=8)
+_FLIP = {"pre": "post", "post": "pre"}
+# A small vocabulary, so phrases repeat within and across documents.
+_VOCAB = ["the", "The", "cat", "sat", "on", "mat", "and", "a", "dog", "ran", "far", "away", "Home", "again"]
+
+
+def _document(min_words: int) -> st.SearchStrategy[str]:
+    """Text of ``min_words`` to 300 words drawn from ``_VOCAB``."""
+    length = st.integers(min_words, 300)
+    return length.flatmap(lambda n: st.lists(st.sampled_from(_VOCAB), min_size=n, max_size=n).map(" ".join))
+
+
+_SPEC = st.integers(0, 20).map(lambda i: f"partial:{i / 20:g}")
+
+
+@st.composite
+def _audits(draw):
+    """A corpus of 2 to 8 documents, each cohort with at least one that passes
+    the length filter, a backend spec per cohort, and a config."""
+    texts = {
+        cohort: [draw(_document(_CONFIG.min_words + 1)), *draw(st.lists(_document(1), max_size=3))]
+        for cohort in ("pre", "post")
+    }
+    corpus = [
+        Document(id=f"{cohort}-{i}", cohort=cohort, text=text)
+        for cohort, cohort_texts in texts.items()
+        for i, text in enumerate(cohort_texts)
+    ]
+    draw(st.randoms()).shuffle(corpus)
+    backends = {"pre": draw(_SPEC), "post": draw(_SPEC)}
+    config = replace(_CONFIG, shots=draw(st.sampled_from([2, 4, 6])), seed=draw(st.integers(0, 2**16)))
+    return corpus, backends, config
+
+
+@settings(max_examples=40, deadline=None)
+@given(_audits())
+def test_swapping_the_labels_and_the_backends_negates_delta(audit):
+    corpus, backends, config = audit
+    report = run_audit(corpus, config, backends=backends)
+    flipped = [replace(doc, cohort=_FLIP[doc.cohort]) for doc in corpus]
+    swapped = run_audit(flipped, config, backends={cohort: backends[_FLIP[cohort]] for cohort in backends})
+    assert swapped.comparison.delta == -report.comparison.delta
+    assert swapped.comparison.ks == report.comparison.ks
+    assert swapped.comparison.h_statistic == report.comparison.h_statistic
+    assert swapped.comparison.p_value == report.comparison.p_value
+    assert (swapped.f_pre, swapped.f_post) == (report.f_post, report.f_pre)
+    assert (swapped.n_docs_pre, swapped.n_docs_post) == (report.n_docs_post, report.n_docs_pre)
+    # A document's summary depends on its text, the config and its backend alone.
+    assert swapped.documents == tuple(replace(doc, cohort=_FLIP[doc.cohort]) for doc in report.documents)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_audits())
+def test_corpus_order_changes_only_the_order_of_documents(audit):
+    corpus, backends, config = audit
+    with tempfile.TemporaryDirectory() as tmp:
+        forward = run_audit(corpus, config, backends=backends, out=Path(tmp, "forward"))
+        backward = run_audit(corpus[::-1], config, backends=backends, out=Path(tmp, "backward"))
+        csv = [report_paths(Path(tmp, name))["frequencies"].read_bytes() for name in ("forward", "backward")]
+    assert (backward.f_pre, backward.f_post) == (forward.f_pre, forward.f_post)
+    assert backward.comparison == forward.comparison
+    assert backward.failures == forward.failures
+    assert csv[0] == csv[1]
+    # documents follow corpus order.
+    assert backward.documents == forward.documents[::-1]
+
+
+@pytest.mark.parametrize(("n_pre", "n_post", "delta"), [(30, 100, 1.0), (100, 30, -1.0)])
+def test_equal_backends_on_unequal_cohorts_separate_completely(n_pre, n_post, delta):
+    # The paper's statistic compares the cohorts' summed counts, so one
+    # backend for both cohorts shows complete separation whenever the cohorts
+    # differ in size. This pins that flaw as measured.
+    report = run_audit(make_corpus(n_pre, n_post, words=120), ExperimentConfig(min_words=50), backends="verbatim")
+    assert report.f_pre == (n_pre,) * 8 and report.f_post == (n_post,) * 8
+    assert report.comparison.delta == delta
+    assert report.comparison.ks == 1.0
+    # 8 against 8 values with no overlap: H = 15, p = erfc(sqrt(7.5)), about 1.08e-4.
+    assert report.comparison.h_statistic == pytest.approx(15.0, rel=1e-12)
+    assert report.comparison.p_value == pytest.approx(math.erfc(math.sqrt(7.5)), rel=1e-12)
+    assert round(report.comparison.p_value, 6) == 1.08e-4

@@ -336,6 +336,16 @@ def test_one_spec_for_both_cohorts_builds_one_shared_backend(small_corpus, small
     assert [(backend.calls, backend.closed) for backend in built] == [(6, 1)]
 
 
+def test_one_spec_string_stands_for_both_cohorts(small_corpus, small_config, monkeypatch):
+    # Oblivious completions share no word with the reference: 0 at each of the 7 thresholds.
+    assert run_audit(small_corpus, small_config, backends="oblivious").f_pre == (0,) * 7
+    assert sweep(small_corpus, small_config, "shots", [2], backends="oblivious")[2].f_pre == (0,) * 7
+    built = _count_builds(monkeypatch)
+    run_audit(small_corpus, small_config, backends="oblivious")
+    sweep(small_corpus, small_config, "shots", [2, 4], backends="verbatim")
+    assert [(backend.calls, backend.closed) for backend in built] == [(6, 1), (12, 1)]
+
+
 def test_cohort_spec_beside_a_caller_backend(small_corpus, small_config, monkeypatch):
     built = _count_builds(monkeypatch)
     caller = ClosingBackend()
