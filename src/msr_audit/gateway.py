@@ -88,14 +88,20 @@ def request_body(transcript: Transcript, params: GenerationParams) -> dict:
     }
 
 
-def request_key(backend: Backend, transcript: Transcript, params: GenerationParams) -> str:
-    """Hex digest of the canonical request: ``request_body`` plus the backend
-    name, and the seed for backends that use it.
-    """
-    payload = {**request_body(transcript, params), "backend": backend.name}
+def _request(backend: Backend, transcript: Transcript, params: GenerationParams) -> dict:
+    """``request_body`` plus the backend name, and the seed for backends that
+    use it: what ``request_key`` digests and a cache line records."""
+    request = {**request_body(transcript, params), "backend": backend.name}
     if backend.uses_seed:
-        payload["seed"] = params.seed
-    canonical = json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        request["seed"] = params.seed
+    return request
+
+
+def request_key(backend: Backend, transcript: Transcript, params: GenerationParams) -> str:
+    """Hex SHA-256 of ``_request`` as canonical JSON: sorted keys, ASCII
+    escapes, no spaces."""
+    request = _request(backend, transcript, params)
+    canonical = json.dumps(request, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -372,12 +378,12 @@ class GenerationCache:
     """First-write-wins map from request key to completion text, persisted
     as JSON lines.
 
-    Each line holds {"key", "output", "backend", "model", "temperature",
-    "max_tokens", "seed", "created_at"}. Only "key" and "output" are read
-    back: the key is the digest of the whole request, so it already names
-    the backend and parameters; the other fields record provenance for
-    people reading the file. A line without a string "key" and "output" is
-    skipped with a warning. One lock serializes lookups and writes. The file
+    Each line holds "key", "output", the fields of the request the key
+    digests less its "messages" (model, temperature, the max_tokens sent,
+    backend, and seed where the backend uses one), and "created_at". Only
+    "key" and "output" are read back; the other fields record provenance
+    for people reading the file. A line without a string "key" and
+    "output" is skipped with a warning. One lock serializes lookups and writes. The file
     and its directory are created, and the file opened for appending, when
     the cache is built, so a path that cannot be written fails before the
     first request rather than after it.
@@ -412,26 +418,19 @@ class GenerationCache:
         with self._lock:
             return self._outputs.get(key)
 
-    def store(self, key: str, output: str, backend_name: str, params: GenerationParams) -> str:
+    def store(self, key: str, output: str, request: dict) -> str:
         """Store ``output`` under ``key`` and return the stored output: if the
         key already exists the first output wins.
 
-        ``backend_name`` and ``params`` are written to the file as provenance.
+        ``request`` is what ``key`` digests; its fields but "messages" are
+        written to the file as provenance.
         """
         with self._lock:
             existing = self._outputs.get(key)
             if existing is not None:
                 return existing
-            record = {
-                "key": key,
-                "output": output,
-                "backend": backend_name,
-                "model": params.model,
-                "temperature": params.temperature,
-                "max_tokens": params.max_tokens,
-                "seed": params.seed,
-                "created_at": utc_timestamp(),
-            }
+            provenance = {field: value for field, value in request.items() if field != "messages"}
+            record = {"key": key, "output": output, **provenance, "created_at": utc_timestamp()}
             # A lone surrogate has no UTF-8 form: write it as the JSON escape \udXXX.
             line = json.dumps(record, ensure_ascii=False).encode("utf-8", "backslashreplace")
             with self.path.open("a+b") as handle:
@@ -481,7 +480,7 @@ def generate_batch(
         except BackendError as exc:
             return GenerationRecord("", error=str(exc))
         if cache is not None:
-            output = cache.store(key, output, backend.name, params)
+            output = cache.store(key, output, _request(backend, transcript, params))
         return GenerationRecord(output)
 
     if not backend.waits_on_io:

@@ -211,10 +211,10 @@ def _score(
     if record.error is not None:
         logger.warning("generation failed for document %r: %s", doc.id, record.error)
         return None
-    if not record.output_text:
-        logger.warning("empty completion for document %r; will count as zero-match", doc.id)
     reference = words(transcript.reference_text, lowercase=True) if config.lowercase else transcript.reference_tokens
     completion = GeneratedCompletion.from_text(record.output_text, lowercase=config.lowercase)
+    if not completion.tokens:
+        logger.warning("empty completion for document %r; will count as zero-match", doc.id)
     lengths = maximal_common_substrings(reference, completion.tokens, config.l_min)[:, 0]
     counts = frequency_array(lengths, config.l_min, config.resolved_l_max, exact=config.exact_lengths)
     # The kernel skips runs shorter than l_min; when it found none, the

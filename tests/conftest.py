@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -53,6 +54,19 @@ def write_corpus_jsonl(path: Path, docs: list[Document]) -> Path:
     lines = [json.dumps({"id": d.id, "cohort": d.cohort, "text": d.text}) for d in docs]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def assert_calibrated(pvalues: list[float], alpha: float, tail: float = 1e-3) -> None:
+    """Fail when more p-values fall below ``alpha`` than a calibrated test
+    plausibly gives: at most the least k with P(Bin(n, alpha) > k) <= ``tail``."""
+    n = len(pvalues)
+
+    def above(k: int) -> float:
+        return sum(math.comb(n, i) * alpha**i * (1 - alpha) ** (n - i) for i in range(k + 1, n + 1))
+
+    bound = next(k for k in range(n + 1) if above(k) <= tail)
+    rejections = sum(p < alpha for p in pvalues)
+    assert rejections <= bound, f"{rejections} of {n} p-values below {alpha}; a calibrated test gives at most {bound}"
 
 
 class CountingBackend(Backend):

@@ -208,8 +208,11 @@ def test_partial_copy_deterministic_and_call_order_independent():
 # ------------------------------------------------------------------------ cache
 
 
+_REQUEST = {"model": "mock", "messages": [], "temperature": 0.1, "max_tokens": 30, "backend": "verbatim"}
+
+
 def _store(cache, key, output="gen text"):
-    return cache.store(key, output, "verbatim", GenerationParams())
+    return cache.store(key, output, _REQUEST)
 
 
 def test_cache_first_write_wins(tmp_path):
@@ -228,7 +231,7 @@ def test_cache_persists_jsonl_round_trip(tmp_path):
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [set(line) for line in lines] == [
-        {"key", "output", "backend", "model", "temperature", "max_tokens", "seed", "created_at"}
+        {"key", "output", "backend", "model", "temperature", "max_tokens", "created_at"}
     ] * 2
 
     reloaded = GenerationCache(path)
@@ -237,10 +240,10 @@ def test_cache_persists_jsonl_round_trip(tmp_path):
 
 
 def test_cache_round_trips_params(tmp_path):
-    # The params reach the file as provenance; they are not read back.
+    # The request's fields but "messages" reach the file as provenance; they are not read back.
     path = tmp_path / "cache.jsonl"
-    params = GenerationParams(model="m", temperature=0.7, max_tokens=42, seed=9)
-    GenerationCache(path).store("k1", "out", "partial:0.5", params)
+    request = {"model": "m", "messages": [], "temperature": 0.7, "max_tokens": 42, "backend": "partial:0.5", "seed": 9}
+    GenerationCache(path).store("k1", "out", request)
     line = json.loads(path.read_text())
     assert line.pop("backend") == "partial:0.5"
     assert datetime.fromisoformat(line.pop("created_at")).tzinfo is not None
@@ -577,6 +580,24 @@ def test_live_backend_success_request_shape():
     assert path == "/chat/completions"
     assert headers["Authorization"] == "Bearer sk-test"
     assert body == request_body(transcript, GenerationParams(model="gpt-x", temperature=0.3))
+
+
+def test_cache_lines_record_the_request_each_backend_sent(tmp_path):
+    # Auto max_tokens resolves per transcript; only a backend that uses a seed has one in its key.
+    path = tmp_path / "cache.jsonl"
+    transcripts = [_transcript(n_words=60), _transcript(n_words=90, tag="v")]
+    params = GenerationParams(model="gpt-x", temperature=0.3, seed=7)
+    with StubServer() as server, closing(LiveBackend(server.url)) as backend:
+        generate_batch(backend, transcripts, params, max_in_flight=1, cache=GenerationCache(path))
+    generate_batch(ObliviousBackend(), transcripts[:1], params, cache=GenerationCache(path))
+    *live, oblivious = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(live) == len(server.requests) == 2
+    sent = ("model", "temperature", "max_tokens")
+    for line, (_, _, body) in zip(live, server.requests):
+        assert [line[field] for field in sent] == [body[field] for field in sent]
+        assert line["backend"] == "live" and "seed" not in line
+    assert [line["max_tokens"] for line in live] == [15, 23]
+    assert (oblivious["backend"], oblivious["seed"], oblivious["max_tokens"]) == ("oblivious", 7, 15)
 
 
 @pytest.mark.parametrize("path", ["/v1", "/v1/"])

@@ -1,14 +1,16 @@
 """Metamorphic invariants of a whole audit: what a report must keep when its
 input changes in a way that carries no evidence of membership.
 
-Corpora are small (at most 8 documents of at most 300 words) and completed by
-the seeded ``partial:P`` mocks, whose output depends only on the seed and the
-reference text, never on a document's cohort or position.
+Corpora are small (at most 14 documents of at most 300 words) and completed
+by the seeded ``partial:P`` mocks, whose output depends only on the seed and
+the reference text, never on a document's cohort or position. The last tests
+measure the paper's statistic with ``assert_calibrated``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus
+from conftest import assert_calibrated, make_corpus
 from msr_audit.corpus import Document
 from msr_audit.runner import ExperimentConfig, report_paths, run_audit
 
@@ -101,3 +103,68 @@ def test_equal_backends_on_unequal_cohorts_separate_completely(n_pre, n_post, de
     assert report.comparison.h_statistic == pytest.approx(15.0, rel=1e-12)
     assert report.comparison.p_value == pytest.approx(math.erfc(math.sqrt(7.5)), rel=1e-12)
     assert round(report.comparison.p_value, 6) == 1.08e-4
+
+
+@settings(max_examples=20, deadline=None)
+@given(_audits(), st.lists(_document(1), min_size=1, max_size=3), st.lists(_document(1), min_size=1, max_size=3))
+def test_adding_documents_leaves_every_original_summary_equal(audit, extra_pre, extra_post):
+    corpus, backends, config = audit
+    extra = [
+        Document(id=f"extra-{cohort}-{i}", cohort=cohort, text=text)
+        for cohort, texts in (("pre", extra_pre), ("post", extra_post))
+        for i, text in enumerate(texts)
+    ]
+    report = run_audit(corpus, config, backends=backends)
+    grown = run_audit(corpus + extra, config, backends=backends)
+    assert grown.documents[: len(report.documents)] == report.documents
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.fixed_dictionaries({"pre": _SPEC, "post": _SPEC}), st.integers(0, 2**16))
+def test_replicating_the_post_documents_multiplies_only_f_post(backends, seed):
+    rng = random.Random(seed)
+    pre, post = (
+        [Document(id=f"{cohort}-{i}", cohort=cohort, text=" ".join(rng.choices(_VOCAB, k=300))) for i in range(4)]
+        for cohort in ("pre", "post")
+    )
+    replicas = [replace(doc, id=f"{doc.id}-copy{j}") for doc in post for j in range(3)]
+    config = replace(_CONFIG, shots=4, l_min=3, seed=seed)
+    report = run_audit(pre + post, config, backends=backends)
+    tripled = run_audit(pre + replicas, config, backends=backends)
+    assert tripled.f_pre == report.f_pre
+    assert tripled.f_post == tuple(3 * count for count in report.f_post)
+    assert (tripled.n_docs_pre, tripled.n_docs_post) == (4, 12)
+
+
+def test_assert_calibrated_passes_uniform_pvalues():
+    rng = random.Random(0)
+    assert_calibrated([rng.random() for _ in range(200)], 0.05)
+
+
+def test_assert_calibrated_rejects_pvalues_all_below_alpha():
+    with pytest.raises(AssertionError, match="20 of 20 p-values below 0.05"):
+        assert_calibrated([0.01] * 20, 0.05)
+
+
+def test_paper_statistic_rejects_the_null_whenever_every_threshold_counts():
+    # One backend on both cohorts carries no membership signal, yet the copy
+    # mock's 8-word chunks give every threshold from l_min 5 to l_max 8 the
+    # same count within a cohort: 4 tied values against 4, so any difference
+    # in the cohorts' totals separates them completely, H = 7 and
+    # p = erfc(sqrt(3.5)), about 0.0082. This pins that flaw as measured.
+    vocab = [f"v{i}" for i in range(3000)]
+    pvalues = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        corpus = [
+            Document(id=f"{cohort}-{i}", cohort=cohort, text=" ".join(rng.choices(vocab, k=300)))
+            for cohort in ("pre", "post")
+            for i in range(10)
+        ]
+        config = ExperimentConfig(min_words=100, l_max=8, seed=seed)
+        pvalues.append(run_audit(corpus, config, backends="partial:0.35").comparison.p_value)
+    separated = [p for p in pvalues if p < 0.05]
+    assert len(separated) == 19
+    assert separated == pytest.approx([math.erfc(math.sqrt(3.5))] * 19, rel=1e-12)
+    with pytest.raises(AssertionError, match="19 of 20 p-values below 0.05"):
+        assert_calibrated(pvalues, 0.05)

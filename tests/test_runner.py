@@ -198,6 +198,19 @@ def test_run_audit_warns_on_empty_completion(small_corpus, small_config, caplog)
     assert report.failures == 0
 
 
+def test_run_audit_warns_on_whitespace_only_completion(small_corpus, small_config, caplog):
+    class BlankForP1(VerbatimBackend):
+        def complete(self, transcript, params):
+            return " \n\t " if "p1w" in transcript.reference_text else transcript.reference_text
+
+    with caplog.at_level(logging.WARNING):
+        report = run_audit(small_corpus, small_config, backends=BlankForP1())
+    messages = [r.message for r in caplog.records if "empty completion" in r.message]
+    assert messages == ["empty completion for document 'pre-1'; will count as zero-match"]
+    [blank] = [d for d in report.documents if d.doc_id == "pre-1"]
+    assert blank.longest_match == 0 and blank.counts == (0,) * 7
+
+
 def test_run_audit_interleaved_corpus_keeps_corpus_order(small_corpus, small_config):
     pre = [d for d in small_corpus if d.cohort == "pre"]
     post = [d for d in small_corpus if d.cohort == "post"]
