@@ -89,9 +89,12 @@ def request_body(transcript: Transcript, params: GenerationParams) -> dict:
 
 
 def _request(backend: Backend, transcript: Transcript, params: GenerationParams) -> dict:
-    """``request_body`` plus the backend name, and the seed for backends that
-    use it: what ``request_key`` digests and a cache line records."""
+    """``request_body`` plus the backend name, its URL for a backend that
+    has one, and the seed for backends that use it: what ``request_key``
+    digests and a cache line records."""
     request = {**request_body(transcript, params), "backend": backend.name}
+    if backend.url is not None:
+        request["url"] = backend.url
     if backend.uses_seed:
         request["seed"] = params.seed
     return request
@@ -110,10 +113,13 @@ class Backend:
 
     ``waits_on_io`` marks a backend whose ``complete`` spends its time
     waiting on the network; only such a backend gets a thread pool in
-    ``generate_batch``.
+    ``generate_batch``. ``url`` is where a live backend sends its requests
+    (scheme, host, port and path, never the query), and None for a backend
+    that sends none.
     """
 
     name = "backend"
+    url: str | None = None
     uses_seed = False
     waits_on_io = False
 
@@ -209,7 +215,9 @@ class LiveBackend(Backend):
     Retries transient failures (timeouts, connection errors, 429, 5xx) up to
     ``_MAX_ATTEMPTS`` tries in all; other client errors surface immediately.
     A query on ``base_url`` stays the query of the request, whose path is the
-    base URL's path plus ``/chat/completions``.
+    base URL's path plus ``/chat/completions``. The query may hold a secret,
+    so ``url``, which request keys, cache lines, errors and retry warnings
+    name, leaves it out.
 
     Keep-alive connections are pooled on the backend: a request takes an idle
     connection or dials a new one, and returns it only after reading the whole
@@ -240,7 +248,7 @@ class LiveBackend(Backend):
             # Userinfo without //host lands in the path, a secret may fill the port: echo neither.
             raise ValueError("live backend URL must be http(s)://host[:port][/path]") from None
         parts = parts._replace(path=parts.path.rstrip("/") + "/chat/completions")
-        self.url = urllib.parse.urlunsplit(parts)
+        self.url = urllib.parse.urlunsplit(parts._replace(query="", fragment=""))
         self._path = parts.path + (f"?{parts.query}" if parts.query else "")
         if parts.scheme == "https":
             self._dial = functools.partial(
@@ -380,13 +388,14 @@ class GenerationCache:
 
     Each line holds "key", "output", the fields of the request the key
     digests less its "messages" (model, temperature, the max_tokens sent,
-    backend, and seed where the backend uses one), and "created_at". Only
-    "key" and "output" are read back; the other fields record provenance
-    for people reading the file. A line without a string "key" and
-    "output" is skipped with a warning. One lock serializes lookups and writes. The file
-    and its directory are created, and the file opened for appending, when
-    the cache is built, so a path that cannot be written fails before the
-    first request rather than after it.
+    backend, the live backend's url, and seed where the backend uses one),
+    and "created_at". Only "key" and "output" are read back; the other
+    fields record provenance for people reading the file. A line without a
+    string "key" and "output" is skipped with a warning. One lock
+    serializes lookups and writes. The file and its directory are created,
+    and the file opened for appending, when the cache is built, so a path
+    that cannot be written fails before the first request rather than after
+    it.
     """
 
     def __init__(self, path: str | Path) -> None:

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Most equal q-gram pairs the match kernel lists at once (see _blocks); its
-# per-block arrays then stay near 19 MB.
+# Most equal q-gram pairs the match kernel lists at once, unless one reference
+# row alone holds more; its per-chunk arrays then stay near 19 MB.
 _BLOCK = 2**20
 
 
@@ -62,21 +62,6 @@ def _diagonal_key(i: np.ndarray, j: np.ndarray, n_ref: int) -> np.ndarray:
     return (j.astype(np.int64) - i) * n_ref + i
 
 
-def _blocks(counts: np.ndarray, n_pairs: int) -> list[slice]:
-    """Ref rows, given their pair counts (``n_pairs`` in all), split into
-    consecutive ranges of at most ``_BLOCK`` pairs each. A row with more
-    pairs than that is a range by itself."""
-    if n_pairs <= _BLOCK:
-        return [slice(0, len(counts))]
-    ends = np.cumsum(counts)
-    edges = [0]
-    while edges[-1] < len(ends):
-        start = edges[-1]
-        done = ends[start - 1] if start else 0
-        edges.append(max(int(np.searchsorted(ends, done + _BLOCK, "right")), start + 1))
-    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
 def _matches(lengths: np.ndarray, start_i: np.ndarray, start_j: np.ndarray) -> np.ndarray:
     # Filled column by column: np.stack's own overhead is a few microseconds,
     # a noticeable share of the kernel on short pairs.
@@ -106,11 +91,12 @@ def maximal_common_substrings(
     is the interned token id. A sort-join of the keys (argsort +
     searchsorted) gives each ref position i the gen positions j whose q-gram
     equals its own, and so each row i's pair count. The pairs (i, j) are
-    listed (repeat + arange) in (i, j) order one block at a time: a block is
-    a range of consecutive rows with at most ``_BLOCK`` pairs in all, or a
-    single row with more. A pair starts a run when the tokens before it,
+    listed (repeat + arange) in (i, j) order: all at once when P is at most
+    ``_BLOCK``, else ``max(1, _BLOCK // m)`` consecutive rows at a time, which
+    bounds a chunk by ``_BLOCK`` pairs, or by one row's m when the completion
+    alone is longer. A pair starts a run when the tokens before it,
     (i - 1, j - 1), are off-grid or unequal, and ends one when the tokens
-    after it, (i + q, j + q), are; a block keeps its run starts as (i, j)
+    after it, (i + q, j + q), are; a chunk keeps its run starts as (i, j)
     and its run ends only as diagonal keys (j - i) * n + i
     (``_diagonal_key``). A run of r such pairs on one diagonal is one
     maximal match of r + q - 1 words. Diagonal d's keys fill
@@ -122,16 +108,15 @@ def maximal_common_substrings(
     final sort.
 
     With P equal q-gram pairs and R runs this takes O(q (n + m) log(n + m)
-    + P + R log R) time and O(n + m + min(P, _BLOCK) + R) memory, held in
-    int32 arrays (keys are int64); a single row holds at most m pairs. For
-    words drawn with frequencies p_w, P at q = 1 is about
-    n * m * sum(p_w ** 2), far below n * m, so an ordinary pair is one
-    block; a larger q keeps only the pairs that begin a common q-gram, which
-    drops the single frequent words that dominate it. The worst case is one
-    token filling both sides: every q-gram is then equal too, so P is about
-    n * m at any q while R is only about n + m. There the kernel peaks near
-    19 MB (tracemalloc) at 2048 x 2048 tokens (q = 1) and at 4096 x 4096
-    (q = 5), and takes about 0.07 s and 0.3 s.
+    + P + R log R) time and O(n + m + min(P, max(_BLOCK, m)) + R) memory,
+    held in int32 arrays (keys are int64). For words drawn with frequencies
+    p_w, P at q = 1 is about n * m * sum(p_w ** 2), far below n * m, so an
+    ordinary pair is one chunk; a larger q keeps only the pairs that begin a
+    common q-gram, which drops the single frequent words that dominate it.
+    The worst case is one token filling both sides: every q-gram is then
+    equal too, so P is about n * m at any q while R is only about n + m.
+    There the kernel peaks near 19 MB (tracemalloc) at 2048 x 2048 tokens
+    (q = 1) and at 4096 x 4096 (q = 5), and takes about 0.07 s and 0.3 s.
     """
     if min_length < 1:
         raise ValueError(f"min_length must be >= 1, got {min_length}")
@@ -162,11 +147,15 @@ def maximal_common_substrings(
     a_pad = np.concatenate(([-1], a, [-1]), dtype=np.int32)
     b_pad = np.concatenate(([-2], b, [-2]), dtype=np.int32)
     start_i, start_j, end_keys = [], [], []
-    for rows in _blocks(counts, n_pairs):
+    # A row holds at most n_gen pairs, so a chunk of this many rows holds at
+    # most _BLOCK pairs, or it is one row.
+    step = len(counts) if n_pairs <= _BLOCK else max(1, _BLOCK // n_gen)
+    for first in range(0, len(counts), step):
+        rows = slice(first, first + step)
         row_counts = counts[rows]
-        pair_i = np.repeat(np.arange(rows.start, rows.stop, dtype=np.int32), row_counts)
+        pair_i = np.repeat(np.arange(first, first + len(row_counts), dtype=np.int32), row_counts)
         # Row i's pairs take the slots lo[i], lo[i] + 1, ... of order. lo[i]
-        # less the block's pairs before row i lies in (-_BLOCK, m), and every
+        # less the chunk's pairs before row i lies in [-_BLOCK, m), and every
         # slot in [0, m), so int32 holds them.
         base = (lo[rows] - (np.cumsum(row_counts) - row_counts)).astype(np.int32)
         pair_j = order[np.repeat(base, row_counts) + np.arange(len(pair_i), dtype=np.int32)]

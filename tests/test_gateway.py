@@ -607,7 +607,53 @@ def test_live_backend_keeps_the_base_url_query_on_the_request(path):
         backend = LiveBackend(f"{server.url}{path}?api-version=2024-02-01")
         assert backend.complete(_transcript(), GenerationParams()) == "fallback"
     assert server.requests[0][0] == "/v1/chat/completions?api-version=2024-02-01"
-    assert backend.url == f"{server.url}/v1/chat/completions?api-version=2024-02-01"
+    assert backend.url == f"{server.url}/v1/chat/completions"
+
+
+def test_one_cache_keeps_each_endpoints_completions_apart(tmp_path):
+    # Azure OpenAI picks the model from the path, so two deployments audited
+    # with one --model and one --cache must not share completions; the query
+    # names no model, so a second api-version reads the cache.
+    cache = GenerationCache(tmp_path / "cache.jsonl")
+    transcripts = [_transcript()]
+    script = [(200, completion_body("from a")), (200, completion_body("from b"))]
+    outputs = []
+    with StubServer(script) as server:
+        for path in ("/deployments/a?api-version=1", "/deployments/b?api-version=1", "/deployments/b?api-version=2"):
+            with closing(LiveBackend(server.url + path)) as backend:
+                records = generate_batch(backend, transcripts, GenerationParams(), cache=cache)
+            outputs.append(records[0].output_text)
+    assert outputs == ["from a", "from b", "from b"]
+    assert [request[0] for request in server.requests] == [
+        "/deployments/a/chat/completions?api-version=1",
+        "/deployments/b/chat/completions?api-version=1",
+    ]
+    lines = [json.loads(line) for line in cache.path.read_text().splitlines()]
+    assert [line["url"] for line in lines] == [
+        f"{server.url}/deployments/a/chat/completions",
+        f"{server.url}/deployments/b/chat/completions",
+    ]
+
+
+def test_live_backend_errors_never_show_the_base_url_query():
+    with StubServer([(400, "no")]) as server:
+        backend = LiveBackend(f"{server.url}/v1?key=sk-secret-123")
+        with pytest.raises(BackendError) as info:
+            backend.complete(_transcript(), GenerationParams())
+    assert str(info.value) == f"HTTP 400 from {server.url}/v1/chat/completions: no"
+    assert server.requests[0][0] == "/v1/chat/completions?key=sk-secret-123"
+
+
+def test_live_backend_retry_warnings_never_show_the_base_url_query(monkeypatch, caplog):
+    monkeypatch.setattr(gateway, "_MAX_ATTEMPTS", 2)
+    with StubServer([(503, "busy")] * 2) as server:
+        backend = LiveBackend(f"{server.url}/v1?key=sk-secret-123", sleep=lambda delay: None)
+        with caplog.at_level(logging.WARNING, logger=gateway.__name__), pytest.raises(BackendError) as info:
+            backend.complete(_transcript(), GenerationParams())
+    assert [record.getMessage() for record in caplog.records] == [
+        f"retrying after HTTP 503 (attempt 2): {server.url}/v1/chat/completions"
+    ]
+    assert "sk-secret" not in str(info.value)
 
 
 def test_live_backend_no_auth_header_without_key():

@@ -400,6 +400,17 @@ def _zipf_chunk_copy_pair(seed, n):
         # 2n - 1 diagonals with at least q cells holds one run.
         pytest.param(["x"] * 2048, ["x"] * 2048, 1, 2 * 2048 - 2 * 1 + 1, 32, id="identical-2048-q1"),
         pytest.param(["x"] * 4096, ["x"] * 4096, 5, 2 * 4096 - 2 * 5 + 1, 32, id="identical-4096-q5"),
+        # Rows of uneven length across several chunks: half the reference is
+        # x, half distinct words, so only the x rows hold pairs and every
+        # diagonal of the all-x rectangle holds one run.
+        pytest.param(
+            ["x"] * 2048 + [f"w{k}" for k in range(2048)],
+            ["x"] * 4096,
+            5,
+            (2048 - 5) + (4096 - 5) + 1,
+            32,
+            id="half-identical-4096-q5",
+        ),
     ],
 )
 def test_kernel_memory_on_zipf_chunk_copy_pair(ref, gen, q, rows, bound_mb):
@@ -427,8 +438,9 @@ def test_kernel_memory_on_zipf_chunk_copy_pair(ref, gen, q, rows, bound_mb):
 )
 def test_kernel_rows_are_golden_on_long_zipf_chunk_copy_pair(q, shape, digest, block):
     # Pins every byte of the rows of a pair too long for the oracle tests.
-    # At q = 1 its 278,951 equal pairs are listed in one block, or in 335
-    # blocks of at most 997; at q = 5 its 715 pairs fit one block either way.
+    # At q = 1 its 278,951 equal pairs are listed at once, or with _BLOCK at
+    # 997, below the completion's 3,000 words, in 3,000 one-row chunks; at
+    # q = 5 its 715 pairs are listed at once either way.
     ref, gen = _zipf_chunk_copy_pair(3, 3000)
     with mock.patch.object(matching, "_BLOCK", block or matching._BLOCK):
         matches = maximal_common_substrings(ref, gen, q)
