@@ -62,14 +62,6 @@ class GenerationParams:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    """One completion, or the error that took its place."""
-
-    output_text: str
-    error: str | None = None
-
-
 def request_body(transcript: Transcript, params: GenerationParams) -> dict:
     """The chat-completions request: the system prompt, then the faux turns.
     ``max_tokens=None`` (auto) resolves to ceil(1.5 x reference token count).
@@ -461,36 +453,38 @@ def generate_batch(
     params: GenerationParams,
     max_in_flight: int = 4,
     cache: GenerationCache | None = None,
-) -> list[GenerationRecord]:
-    """Complete many transcripts, in order, one record per transcript.
+) -> list[str | BackendError]:
+    """Complete many transcripts: per transcript, in input order, the
+    completion text or the ``BackendError`` that took its place.
 
     A backend that waits on I/O (``waits_on_io``, the live backend) gets a
     thread pool with at most ``max_in_flight`` requests outstanding. Any
     other backend, such as the mocks, is CPU-bound and runs inline on the
     caller's thread, since threads would only pass the GIL back and forth.
-    Outputs align index-wise with the inputs regardless of completion order.
     With a ``cache``, each transcript's ``request_key`` is computed once and
     cached entries are not re-requested; without one no key is computed.
-    Per-item failures are captured on the record (``error`` set), never
-    cached, and never abort the batch. Empty completions are kept as they
-    are.
+    A ``BackendError`` is never cached and never aborts the batch; it comes
+    back without its traceback or chained errors, whose frames hold the
+    transcript. Any other exception propagates, and requests not yet sent
+    are dropped. Empty completions are kept as they are.
     """
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
 
-    def one(transcript: Transcript) -> GenerationRecord:
+    def one(transcript: Transcript) -> str | BackendError:
         if cache is not None:
             key = request_key(backend, transcript, params)
             hit = cache.lookup(key)
             if hit is not None:
-                return GenerationRecord(hit)
+                return hit
         try:
             output = backend.complete(transcript, params)
         except BackendError as exc:
-            return GenerationRecord("", error=str(exc))
+            exc.__cause__ = exc.__context__ = None
+            return exc.with_traceback(None)
         if cache is not None:
             output = cache.store(key, output, _request(backend, transcript, params))
-        return GenerationRecord(output)
+        return output
 
     if not backend.waits_on_io:
         return list(map(one, transcripts))

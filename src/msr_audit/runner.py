@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import urllib.parse
 from collections import Counter
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import asdict, dataclass, replace
@@ -33,7 +34,6 @@ from msr_audit.gateway import (
     BackendError,
     GenerationCache,
     GenerationParams,
-    GenerationRecord,
     backend_from_spec,
     generate_batch,
     utc_timestamp,
@@ -204,15 +204,15 @@ def _segment(eligible: Sequence[TokenizedDocument], config: ExperimentConfig) ->
 
 
 def _score(
-    doc: TokenizedDocument, transcript: Transcript, record: GenerationRecord, config: ExperimentConfig
+    doc: TokenizedDocument, transcript: Transcript, output: str | BackendError, config: ExperimentConfig
 ) -> DocumentMatchSummary | None:
     """Match one document's completion against its reference; None (logged)
     when its generation failed."""
-    if record.error is not None:
-        logger.warning("generation failed for document %r: %s", doc.id, record.error)
+    if isinstance(output, BackendError):
+        logger.warning("generation failed for document %r: %s", doc.id, output)
         return None
     reference = words(transcript.reference_text, lowercase=True) if config.lowercase else transcript.reference_tokens
-    completion = GeneratedCompletion.from_text(record.output_text, lowercase=config.lowercase)
+    completion = GeneratedCompletion.from_text(output, lowercase=config.lowercase)
     if not completion.tokens:
         logger.warning("empty completion for document %r; will count as zero-match", doc.id)
     lengths = maximal_common_substrings(reference, completion.tokens, config.l_min)[:, 0]
@@ -239,16 +239,16 @@ def _audit(
     sizes: dict[str, int] = {}
     for cohort, segmented in cohorts.items():
         transcripts = [build_transcript(doc, bounds, system_prompt=config.system_prompt) for doc, bounds in segmented]
-        records = generate_batch(
+        outputs = generate_batch(
             backend_map[cohort], transcripts, config.params, max_in_flight=config.max_in_flight, cache=cache
         )
         # A comprehension, so no loop variable keeps a transcript bound.
         summaries = [
             summary
-            for (doc, _), transcript, record in zip(segmented, transcripts, records)
-            if (summary := _score(doc, transcript, record, config)) is not None
+            for (doc, _), transcript, output in zip(segmented, transcripts, outputs)
+            if (summary := _score(doc, transcript, output, config)) is not None
         ]
-        del transcripts, records
+        del transcripts, outputs
         if not summaries:
             # Documents were segmented but every generation failed, so this
             # is the backend's fault rather than the corpus's.
@@ -394,9 +394,13 @@ def report_to_dict(report: AuditReport) -> dict:
     def array_dict(counts: tuple[int, ...]) -> dict:
         return {"l_min": report.config.l_min, "l_max": report.config.resolved_l_max, "counts": list(counts)}
 
+    config = asdict(report.config)
+    if config["base_url"] is not None:  # record the endpoint: the query or userinfo may hold a secret
+        parts = urllib.parse.urlsplit(config["base_url"])
+        config["base_url"] = urllib.parse.urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2], parts.path, "", ""))
     return {
         "created_at": report.created_at,
-        "config": asdict(report.config),
+        "config": config,
         "backends": report.backends,
         "failures": report.failures,
         "documents_pre": report.n_docs_pre,

@@ -6,6 +6,8 @@ import math
 import socket
 import ssl
 import threading
+import time
+import weakref
 from contextlib import closing
 from datetime import datetime
 
@@ -20,7 +22,6 @@ from msr_audit.gateway import (
     BackendError,
     GenerationCache,
     GenerationParams,
-    GenerationRecord,
     LiveBackend,
     ObliviousBackend,
     PartialCopyBackend,
@@ -342,7 +343,7 @@ _PROVENANCE = {"backend": "verbatim", "model": "mock", "temperature": 0.1, "crea
 
 def _batch_over_cache_line(tmp_path, caplog, **fields):
     """Load a cache file of one line for a transcript, then complete that
-    transcript over it; returns the record and the backend's call count."""
+    transcript over it; returns its output and the backend's call count."""
     transcript = _transcript()
     backend = CountingBackend(VerbatimBackend())
     params = GenerationParams()
@@ -351,16 +352,16 @@ def _batch_over_cache_line(tmp_path, caplog, **fields):
     path.write_text(json.dumps(line) + "\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         cache = GenerationCache(path)
-    [record] = generate_batch(backend, [transcript], params, cache=cache)
-    return record, backend.calls
+    [output] = generate_batch(backend, [transcript], params, cache=cache)
+    return output, backend.calls
 
 
 @pytest.mark.parametrize("field", ["key", "output"])
 def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
-    record, calls = _batch_over_cache_line(tmp_path, caplog, **_PROVENANCE, **{field: 5})
+    output, calls = _batch_over_cache_line(tmp_path, caplog, **_PROVENANCE, **{field: 5})
     assert any("corrupt cache line" in r.message for r in caplog.records)
     assert calls == 1
-    assert record.output_text == _transcript().reference_text
+    assert output == _transcript().reference_text
 
 
 # The key already names the request, so the provenance fields are never read
@@ -380,17 +381,17 @@ def test_cache_skips_line_with_non_string_field(tmp_path, caplog, field):
     ],
 )
 def test_cache_serves_line_with_mistyped_provenance(tmp_path, caplog, field, value):
-    record, calls = _batch_over_cache_line(tmp_path, caplog, **{**_PROVENANCE, field: value})
+    output, calls = _batch_over_cache_line(tmp_path, caplog, **{**_PROVENANCE, field: value})
     assert not caplog.records
     assert calls == 0
-    assert record.output_text == "cached"
+    assert output == "cached"
 
 
 def test_cache_serves_line_with_only_key_and_output(tmp_path, caplog):
-    record, calls = _batch_over_cache_line(tmp_path, caplog)
+    output, calls = _batch_over_cache_line(tmp_path, caplog)
     assert not caplog.records
     assert calls == 0
-    assert record.output_text == "cached"
+    assert output == "cached"
 
 
 def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
@@ -420,8 +421,8 @@ def test_cache_duplicate_key_in_file_keeps_first(tmp_path):
 
 def test_generate_returns_tokenized_completion():
     transcript = _transcript()
-    [record] = generate_batch(VerbatimBackend(), [transcript], GenerationParams())
-    completion = GeneratedCompletion.from_text(record.output_text)
+    [output] = generate_batch(VerbatimBackend(), [transcript], GenerationParams())
+    completion = GeneratedCompletion.from_text(output)
     assert completion.text == transcript.reference_text
     assert completion.tokens == transcript.reference_tokens
 
@@ -446,7 +447,7 @@ def test_generate_batch_returns_stored_output_on_cache_hit(tmp_path):
     [stored] = generate_batch(backend, [transcript], params, cache=cache)
     [hit] = generate_batch(backend, [transcript], params, cache=cache)
     assert backend.calls == 1
-    assert hit == stored == GenerationRecord(transcript.reference_text)
+    assert hit == stored == transcript.reference_text
 
 
 class _EmptyBackend(Backend):
@@ -461,7 +462,7 @@ def test_generate_batch_serves_empty_completion_from_cache_file(tmp_path):
     transcript = _transcript()
     params = GenerationParams()
     [stored] = generate_batch(_EmptyBackend(), [transcript], params, cache=GenerationCache(path))
-    assert stored.error is None and stored.output_text == ""
+    assert stored == ""
     assert json.loads(path.read_text())["output"] == ""
 
     backend = CountingBackend(_EmptyBackend())
@@ -475,11 +476,11 @@ def test_generate_batch_never_caches_failures(tmp_path):
     cache = GenerationCache(tmp_path / "cache.jsonl")
     params = GenerationParams()
     [failed] = generate_batch(FailingBackend(VerbatimBackend(), marker="bad"), [transcript], params, cache=cache)
-    assert failed.error is not None
+    assert isinstance(failed, BackendError)
     assert cache.lookup(request_key(VerbatimBackend(), transcript, params)) is None
     backend = CountingBackend(VerbatimBackend())
     [retried] = generate_batch(backend, [transcript], params, cache=cache)
-    assert retried.error is None and backend.calls == 1
+    assert not isinstance(retried, BackendError) and backend.calls == 1
 
 
 def test_generate_batch_computes_request_key_once_per_item(monkeypatch, tmp_path):
@@ -490,28 +491,29 @@ def test_generate_batch_computes_request_key_once_per_item(monkeypatch, tmp_path
     monkeypatch.setattr(gateway, "request_key", lambda *args: calls.append(1) or original(*args))
     transcripts = [_transcript(tag="ok"), _transcript(tag="bad")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
-    records = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache(tmp_path / "cache.jsonl"))
-    assert [r.error is None for r in records] == [True, False]
+    outputs = generate_batch(backend, transcripts, GenerationParams(), cache=GenerationCache(tmp_path / "cache.jsonl"))
+    assert [not isinstance(r, BackendError) for r in outputs] == [True, False]
     assert len(calls) == 2
 
 
 def test_generate_batch_alignment():
     transcripts = [_transcript(tag=f"t{i}") for i in range(5)]
     params = GenerationParams(seed=1)
-    records = generate_batch(ObliviousBackend(), transcripts, params, max_in_flight=3)
-    assert len(records) == 5
-    for transcript, record in zip(transcripts, records):
-        assert record.error is None
-        assert record.output_text == ObliviousBackend().complete(transcript, params)
+    outputs = generate_batch(ObliviousBackend(), transcripts, params, max_in_flight=3)
+    assert len(outputs) == 5
+    for transcript, output in zip(transcripts, outputs):
+        assert not isinstance(output, BackendError)
+        assert output == ObliviousBackend().complete(transcript, params)
 
 
 def test_generate_batch_captures_per_item_failures():
     transcripts = [_transcript(tag="ok1"), _transcript(tag="bad"), _transcript(tag="ok2")]
     backend = FailingBackend(VerbatimBackend(), marker="bad")
-    records = generate_batch(backend, transcripts, GenerationParams())
-    assert [r.error is None for r in records] == [True, False, True]
-    assert "synthetic failure" in records[1].error
-    assert records[0].output_text == transcripts[0].reference_text
+    outputs = generate_batch(backend, transcripts, GenerationParams())
+    assert [not isinstance(r, BackendError) for r in outputs] == [True, False, True]
+    assert str(outputs[1]) == "synthetic failure on 'bad'"
+    assert outputs[1].__traceback__ is None
+    assert outputs[0] == transcripts[0].reference_text
 
 
 def test_generate_batch_validation_and_empty():
@@ -527,10 +529,10 @@ def test_generate_batch_skips_cached_entries(tmp_path):
     generate_batch(VerbatimBackend(), transcripts[:4], params, cache=cache)
 
     backend = CountingBackend(VerbatimBackend())
-    records = generate_batch(backend, transcripts, params, cache=cache)
+    outputs = generate_batch(backend, transcripts, params, cache=cache)
     assert backend.calls == 6
-    assert all(r.error is None for r in records)
-    assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
+    assert all(not isinstance(r, BackendError) for r in outputs)
+    assert outputs == [t.reference_text for t in transcripts]
 
 
 # -------------------------------------------------------------- batch dispatch
@@ -545,8 +547,8 @@ def test_generate_batch_runs_cpu_bound_backends_on_the_calling_thread():
             return super().complete(transcript, params)
 
     transcripts = [_transcript(tag=f"t{i}") for i in range(4)]
-    records = generate_batch(ThreadRecording(), transcripts, GenerationParams(), max_in_flight=4)
-    assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
+    outputs = generate_batch(ThreadRecording(), transcripts, GenerationParams(), max_in_flight=4)
+    assert outputs == [t.reference_text for t in transcripts]
     assert threads == [threading.get_ident()] * 4
 
 
@@ -563,8 +565,54 @@ def test_generate_batch_overlaps_backends_that_wait_on_io():
             return transcript.reference_text
 
     transcripts = [_transcript(tag="a"), _transcript(tag="b")]
-    records = generate_batch(Rendezvous(), transcripts, GenerationParams(), max_in_flight=2)
-    assert [r.output_text for r in records] == [t.reference_text for t in transcripts]
+    outputs = generate_batch(Rendezvous(), transcripts, GenerationParams(), max_in_flight=2)
+    assert outputs == [t.reference_text for t in transcripts]
+
+
+def test_generate_batch_stops_sending_once_an_item_raises():
+    # An error other than BackendError (say, the cache store's OSError) ends
+    # the batch: only the requests already in flight still go out.
+    class FailsFirst(Backend):
+        name = "fails-first"
+        waits_on_io = True
+        calls = 0
+        lock = threading.Lock()
+
+        def complete(self, transcript, params):
+            with self.lock:
+                self.calls += 1
+                first = self.calls == 1
+            time.sleep(0.02)
+            if first:
+                raise RuntimeError("store failed")
+            return transcript.reference_text
+
+    backend = FailsFirst()
+    transcripts = [_transcript(tag=f"t{i}") for i in range(50)]
+    with pytest.raises(RuntimeError, match="store failed"):
+        generate_batch(backend, transcripts, GenerationParams(), max_in_flight=2)
+    assert backend.calls <= 2 * 2
+
+
+def test_generate_batch_failure_keeps_no_transcript_alive():
+    # A live backend's errors chain the exception they replace, whose
+    # traceback holds the frame of ``complete`` and so its transcript.
+    class ChainedFailure(Backend):
+        name = "chained"
+
+        def complete(self, transcript, params):
+            try:
+                raise ValueError(transcript.reference_text)
+            except ValueError as exc:
+                raise BackendError("malformed response body") from exc
+
+    transcripts = [_transcript(tag="a")]
+    ref = weakref.ref(transcripts[0])
+    [failed] = generate_batch(ChainedFailure(), transcripts, GenerationParams())
+    del transcripts
+    assert ref() is None
+    assert str(failed) == "malformed response body"
+    assert failed.__traceback__ is None
 
 
 # ---------------------------------------------------------------- live backend
@@ -621,8 +669,8 @@ def test_one_cache_keeps_each_endpoints_completions_apart(tmp_path):
     with StubServer(script) as server:
         for path in ("/deployments/a?api-version=1", "/deployments/b?api-version=1", "/deployments/b?api-version=2"):
             with closing(LiveBackend(server.url + path)) as backend:
-                records = generate_batch(backend, transcripts, GenerationParams(), cache=cache)
-            outputs.append(records[0].output_text)
+                [output] = generate_batch(backend, transcripts, GenerationParams(), cache=cache)
+            outputs.append(output)
     assert outputs == ["from a", "from b", "from b"]
     assert [request[0] for request in server.requests] == [
         "/deployments/a/chat/completions?api-version=1",
@@ -736,10 +784,10 @@ def test_live_backend_batch_mixes_success_and_failure():
     script = [(200, completion_body("one")), (400, {"error": "no"}), (200, completion_body("three"))]
     with StubServer(script) as server:
         backend = LiveBackend(server.url)
-        records = generate_batch(backend, transcripts, GenerationParams(), max_in_flight=1)
-    assert [r.error is None for r in records] == [True, False, True]
-    assert records[0].output_text == "one"
-    assert records[2].output_text == "three"
+        outputs = generate_batch(backend, transcripts, GenerationParams(), max_in_flight=1)
+    assert [not isinstance(r, BackendError) for r in outputs] == [True, False, True]
+    assert outputs[0] == "one"
+    assert outputs[2] == "three"
     assert len(server.requests) == 3
 
 
@@ -799,8 +847,8 @@ def test_live_backend_reuses_keep_alive_connections():
     transcripts = [_transcript(tag=f"t{i}") for i in range(20)]
     with StubServer(keep_alive=True) as server, closing(LiveBackend(server.url)) as backend:
         for half in (transcripts[:10], transcripts[10:]):
-            records = generate_batch(backend, half, GenerationParams(), max_in_flight=2)
-            assert all(r.error is None for r in records)
+            outputs = generate_batch(backend, half, GenerationParams(), max_in_flight=2)
+            assert all(not isinstance(r, BackendError) for r in outputs)
     assert len(server.requests) == 20
     assert len(set(server.ports)) <= 2
 

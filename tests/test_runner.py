@@ -34,6 +34,7 @@ from msr_audit.runner import (
     AuditReport,
     ExperimentConfig,
     emit_report,
+    report_paths,
     report_to_dict,
     low_vs_high,
     run_audit,
@@ -413,6 +414,30 @@ def test_run_audit_closes_its_live_connections(small_corpus, small_config):
         report = run_audit(small_corpus, config)
     assert report.n_docs_pre == 3 and report.n_docs_post == 3
     assert len(server.requests) == 6
+
+
+def test_summary_names_the_live_endpoint_without_its_query(small_corpus, small_config, tmp_path):
+    with StubServer() as server:
+        config = replace(small_config, backend="live", base_url=f"{server.url}/v1?key=sk-secret-123")
+        run_audit(small_corpus, config, out=tmp_path)
+    text = report_paths(tmp_path)["summary"].read_text(encoding="utf-8")
+    assert "sk-secret" not in text
+    assert json.loads(text)["config"]["base_url"] == f"{server.url}/v1"
+    assert {request[0] for request in server.requests} == {"/v1/chat/completions?key=sk-secret-123"}
+
+
+@pytest.mark.parametrize(
+    ("base_url", "recorded"),
+    [
+        ("http://u:sk-secret@h:8080/v1?key=sk-secret#sk-secret", "http://h:8080/v1"),
+        ("https://h/v1/", "https://h/v1/"),
+        (None, None),
+    ],
+)
+def test_report_to_dict_keeps_only_the_base_url_endpoint(small_corpus, small_config, base_url, recorded):
+    report = run_audit(small_corpus, small_config, backends=SPLIT)
+    report = replace(report, config=replace(report.config, base_url=base_url))
+    assert report_to_dict(report)["config"]["base_url"] == recorded
 
 
 def test_run_audit_truncation_shortens_references(small_corpus, small_config):
@@ -849,6 +874,15 @@ def test_audit_releases_pre_transcripts_before_the_post_batch(small_corpus, smal
 
     monkeypatch.setattr(runner, "generate_batch", watching)
     run_audit(small_corpus, small_config, backends=SPLIT)
+    assert len(pre_refs) == 3
+    assert alive_at_post == [0]
+
+    # A failed generation holds no frame, so its transcript is released too.
+    pre_refs.clear()
+    alive_at_post.clear()
+    failing = {**SPLIT, "pre": FailingBackend(VerbatimBackend(), marker="p0w")}
+    report = run_audit(small_corpus, small_config, backends=failing)
+    assert report.failures == 1
     assert len(pre_refs) == 3
     assert alive_at_post == [0]
 
