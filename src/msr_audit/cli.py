@@ -74,7 +74,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", dest="cache_path", metavar="PATH", help="JSONL completion cache")
     parser.add_argument("--seed", type=int, help="seed for the mock backends")
     parser.add_argument("--out", default="msr_report", metavar="DIR", help="report directory (default: %(default)s)")
-    parser.add_argument("--base-url", help="live backend base URL (or MSR_BASE_URL)")
+    parser.add_argument(
+        "--base-url", default=os.environ.get("MSR_BASE_URL"), help="live backend base URL (default: $MSR_BASE_URL)"
+    )
     parser.add_argument("--system-prompt")
     parser.add_argument("--lowercase", action="store_true", help="case-fold reference and completion before matching")
     parser.add_argument("--exact-lengths", action="store_true", help="count exact lengths instead of >= k")

@@ -349,8 +349,8 @@ class LiveBackend(Backend):
 def backend_from_spec(spec: str, base_url: str | None = None) -> Backend:
     """Build a backend from its CLI spec: live | verbatim | oblivious | partial:P.
 
-    For the live backend the base URL falls back to the MSR_BASE_URL
-    environment variable, and the bearer token is MSR_API_KEY's value.
+    The live backend needs ``base_url`` (the CLI's --base-url, which
+    defaults to MSR_BASE_URL), and its bearer token is MSR_API_KEY's value.
     """
     if spec == "verbatim":
         return VerbatimBackend()
@@ -363,10 +363,9 @@ def backend_from_spec(spec: str, base_url: str | None = None) -> Backend:
             raise ValueError(f"bad partial backend spec {spec!r}; expected partial:P") from None
         return PartialCopyBackend(p)
     if spec == "live":
-        url = base_url or os.environ.get("MSR_BASE_URL")
-        if not url:
+        if not base_url:
             raise ValueError("live backend requires --base-url or MSR_BASE_URL")
-        return LiveBackend(url, api_key=os.environ.get("MSR_API_KEY"))
+        return LiveBackend(base_url, api_key=os.environ.get("MSR_API_KEY"))
     raise ValueError(f"unknown backend {spec!r}; expected live, verbatim, oblivious, or partial:P")
 
 

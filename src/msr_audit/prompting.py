@@ -67,46 +67,33 @@ def segment(doc: TokenizedDocument, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(edges, edges[1:]))
 
 
-def render_segment(doc: TokenizedDocument, token_range: tuple[int, int]) -> str:
-    """Exact character slice of the original text spanning a token range.
-
-    Whitespace between the range's tokens is preserved as-is; whitespace
-    outside the first and last token is excluded.
-    """
-    start, end = token_range
-    if not (0 <= start < end <= len(doc.tokens)):
-        raise ValueError(f"token range [{start}, {end}) out of bounds for {len(doc.tokens)} tokens")
-    return doc.text[doc.tokens[start, 0] : doc.tokens[end - 1, 1]]
-
-
 def build_transcript(
     doc: TokenizedDocument,
     bounds: tuple[tuple[int, int], ...],
     system_prompt: str = DEFAULT_SYSTEM_PROMPT,
 ) -> Transcript:
-    """Build the faux conversation for ``doc`` split at ``bounds``, token
-    ranges as ``segment`` returns them.
+    """Build the faux conversation for ``doc`` split at ``bounds``: an even
+    number of non-empty token ranges that tile [0, token count) in order, as
+    ``segment`` returns them. Each segment is the text from its first token's
+    start to its last token's end, whitespace between its tokens included.
 
     Odd-numbered segments (1st, 3rd, ...) become user turns and even-numbered
     ones assistant turns, except the last segment, which is held out as the
     reference the backend is asked to produce.
     """
-    chained = all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-    if not bounds or bounds[0][0] != 0 or bounds[-1][1] != len(doc.tokens) or not chained:
-        raise ValueError("segmentation does not cover the document")
+    ends = [0] + [end for _, end in bounds]
+    chained = all(prev == start < end for prev, (start, end) in zip(ends, bounds))
+    if not bounds or len(bounds) % 2 or ends[-1] != len(doc.tokens) or not chained:
+        raise ValueError("segmentation does not cover the document in an even number of non-empty segments")
 
-    turns = tuple(
-        Turn(role=USER if i % 2 == 0 else ASSISTANT, text=render_segment(doc, token_range))
-        for i, token_range in enumerate(bounds[:-1])
-    )
-    reference_text = render_segment(doc, bounds[-1])
+    texts = [doc.text[doc.tokens[start, 0] : doc.tokens[end - 1, 1]] for start, end in bounds]
+    turns = tuple(Turn(role=USER if i % 2 == 0 else ASSISTANT, text=text) for i, text in enumerate(texts[:-1]))
     return Transcript(
         system_prompt=system_prompt,
         turns=turns,
-        reference_text=reference_text,
-        # The slice runs from its first token's start to its last token's
-        # end, so its words are exactly the reference's tokens.
-        reference_tokens=words(reference_text),
+        reference_text=texts[-1],
+        # The slice spans whole tokens, so its words are the segment's tokens.
+        reference_tokens=words(texts[-1]),
     )
 
 

@@ -247,6 +247,18 @@ def test_audit_live_without_url_exit_1(corpus_files, tmp_path, capsys):
     assert "MSR_BASE_URL" in capsys.readouterr().err
 
 
+def test_audit_live_records_the_url_from_the_environment(corpus_files, tmp_path, monkeypatch):
+    pre, post = corpus_files
+    out = tmp_path / "r"
+    with StubServer() as server:
+        monkeypatch.setenv("MSR_BASE_URL", f"{server.url}/v1?key=sk-env")
+        assert main(_audit_args(pre, post, out, "--backend", "live")) == 0
+    text = (out / "summary.json").read_text(encoding="utf-8")
+    assert "sk-env" not in text
+    assert json.loads(text)["config"]["base_url"] == f"{server.url}/v1"
+    assert {request[0] for request in server.requests} == {"/v1/chat/completions?key=sk-env"}
+
+
 def _frequencies(out):
     return {path.relative_to(out): path.read_bytes() for path in sorted(out.rglob("frequencies.csv"))}
 

@@ -930,7 +930,9 @@ def test_backend_from_spec_live_needs_url(monkeypatch):
 def test_backend_from_spec_live_reads_environment(monkeypatch):
     monkeypatch.setenv("MSR_BASE_URL", "http://example.test/v1/")
     monkeypatch.setenv("MSR_API_KEY", "sk-env")
-    backend = backend_from_spec("live")
+    with pytest.raises(ValueError, match="MSR_BASE_URL"):
+        backend_from_spec("live")  # the CLI reads MSR_BASE_URL, as --base-url's default
+    backend = backend_from_spec("live", base_url="http://example.test/v1/")
     assert isinstance(backend, LiveBackend)
     assert backend.url == "http://example.test/v1/chat/completions"
     assert backend._headers["Authorization"] == "Bearer sk-env"

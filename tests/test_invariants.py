@@ -1,10 +1,11 @@
 """Metamorphic invariants of a whole audit: what a report must keep when its
 input changes in a way that carries no evidence of membership.
 
-Corpora are small (at most 14 documents of at most 300 words) and completed
-by the seeded ``partial:P`` mocks, whose output depends only on the seed and
-the reference text, never on a document's cohort or position. The last tests
-measure the paper's statistic with ``assert_calibrated``.
+The Hypothesis corpora are small (at most 14 documents of at most 300
+words) and completed by the seeded ``partial:P`` mocks, whose output depends
+only on the seed and the reference text, never on a document's cohort or
+position. The last tests measure the paper's statistic, with
+``assert_calibrated`` and over one cache re-scored at other thresholds.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_calibrated, make_corpus
+from conftest import CountingBackend, assert_calibrated, make_corpus
 from msr_audit.corpus import Document
+from msr_audit.gateway import backend_from_spec
 from msr_audit.runner import ExperimentConfig, report_paths, run_audit
 
 _CONFIG = ExperimentConfig(min_words=20, shots=2, l_min=2, l_max=8)
@@ -168,3 +170,27 @@ def test_paper_statistic_rejects_the_null_whenever_every_threshold_counts():
     assert separated == pytest.approx([math.erfc(math.sqrt(3.5))] * 19, rel=1e-12)
     with pytest.raises(AssertionError, match="19 of 20 p-values below 0.05"):
         assert_calibrated(pvalues, 0.05)
+
+
+def test_paper_statistic_moves_with_the_thresholds_alone(tmp_path):
+    # One set of completions, re-scored from the cache: the p-value follows
+    # l_max and exact_lengths, not the evidence. References are 25 whole
+    # 8-word chunks of unique words, so every match is 8 words long and a
+    # cohort's counts are its copied chunks at every threshold from 5 to 8,
+    # and 0 above. This pins the flaw as measured.
+    corpus = make_corpus(4, 4, words=1200)
+    specs = {"pre": "partial:0.35", "post": "partial:0.05"}
+    config = ExperimentConfig(cache_path=str(tmp_path / "cache.jsonl"))
+    report = run_audit(corpus, config, backends=specs)
+    copies = (report.f_pre[0], report.f_post[0])
+    assert copies[0] > copies[1] > 0
+    assert report.f_pre == (copies[0],) * 4 + (0,) * 4 and report.f_post == (copies[1],) * 4 + (0,) * 4
+    assert report.comparison.p_value == pytest.approx(0.36131042852617884, rel=1e-12)
+
+    # At l_max 8 the cohorts separate completely: H = 7, p = erfc(sqrt(3.5)).
+    expected = {"l_max": (8, 0.008150971593502702), "exact_lengths": (True, 0.9272644735252321)}
+    for field, (value, p_value) in expected.items():
+        backends = {cohort: CountingBackend(backend_from_spec(spec)) for cohort, spec in specs.items()}
+        rescored = run_audit(corpus, replace(config, **{field: value}), backends=backends)
+        assert [backend.calls for backend in backends.values()] == [0, 0]
+        assert rescored.comparison.p_value == pytest.approx(p_value, rel=1e-12)

@@ -10,7 +10,6 @@ from msr_audit.prompting import (
     DEFAULT_SYSTEM_PROMPT,
     build_transcript,
     format_transcript,
-    render_segment,
     segment,
 )
 
@@ -67,16 +66,13 @@ def test_segment_rejects_short_documents():
         segment(_doc(5), 6)
 
 
-def test_render_segment_is_exact_slice():
+def test_build_transcript_slices_segments_exactly():
     doc = _doc(0, text="a  b\tc   d e")
-    bounds = segment(doc, 4)  # [2, 1, 1, 1]
-    assert render_segment(doc, bounds[0]) == "a  b"
-    assert render_segment(doc, bounds[1]) == "c"
-    assert render_segment(doc, (0, 5)) == "a  b\tc   d e"
-    with pytest.raises(ValueError):
-        render_segment(doc, (0, 6))
-    with pytest.raises(ValueError):
-        render_segment(doc, (3, 3))
+    transcript = build_transcript(doc, segment(doc, 4))  # [2, 1, 1, 1]
+    assert [turn.text for turn in transcript.turns] == ["a  b", "c", "d"]
+    assert transcript.reference_text == "e"
+    whole = build_transcript(doc, ((0, 4), (4, 5)))
+    assert whole.turns[0].text == "a  b\tc   d"
 
 
 def test_build_transcript_roles_and_reference():
@@ -113,6 +109,10 @@ def test_build_transcript_rejects_bad_segmentation():
         build_transcript(doc, ((0, 4), (4, 9)))  # short
     with pytest.raises(ValueError, match="cover"):
         build_transcript(doc, ())
+    with pytest.raises(ValueError, match="cover"):
+        build_transcript(doc, ((0, 0), (0, 10)))  # empty segment
+    with pytest.raises(ValueError, match="cover"):
+        build_transcript(doc, ((0, 4), (4, 7), (7, 10)))  # odd count
 
 
 @given(st.integers(min_value=8, max_value=200), st.sampled_from([2, 4, 6, 8]))
@@ -124,6 +124,9 @@ def test_reference_tokens_match_final_segment(m, n):
     transcript = build_transcript(doc, bounds)
     start, end = bounds[-1]
     assert transcript.reference_tokens == token_texts(doc)[start:end]
+    roles = [turn.role for turn in transcript.turns]
+    assert roles == [("user", "assistant")[i % 2] for i in range(n - 1)]
+    assert roles[0] == roles[-1] == "user"
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
